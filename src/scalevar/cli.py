@@ -12,10 +12,12 @@ runs of the same config.  SCALEVAR_THREADS caps internal parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -252,13 +254,27 @@ def _fmt_num(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a fresh temp file beside path, then rename it over path.
+
+    The temp name is unique, so concurrent runs sharing a prefix do not
+    collide; the temp file is removed if anything fails before the rename.
+    """
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    name = os.path.basename(path)
+    fd, tmp = tempfile.mkstemp(dir=parent or ".", prefix=name + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give open()'s default mode
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_csv(prefix: str, header, rows) -> None:

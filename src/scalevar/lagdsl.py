@@ -17,11 +17,22 @@ real constant.  Evaluation uses complex arithmetic with principal branches
 for ln and sqrt; abs2(z) = z*conj(z) evaluates real.  Differentiation through
 abs2 and conj is only defined along the real variable t and is rejected for
 the complex-valued q and v variables.  Construction applies constant folding
-and the 0/1 identities, nothing more.
+and the 0/1 identities, nothing more.  parse rejects a literal or folded
+constant that is not finite, and expressions nesting deeper than MAX_DEPTH.
+
+Evaluation model: compile(e) lowers an expression once to a tree of Python
+closures, one per node, that takes Bindings and returns the value.
+evaluate(e, b) is compile(e)(b), with no cache, so a loop that evaluates the
+same expression many times (an integrator stage, a pointwise sweep) should
+compile once and hold the closure.  The closures keep the guards of
+evaluation: division by zero (left out where the denominator is a nonzero
+constant), ln(0), a zero base under a negative integer power, unbound
+parameters and missing q/v components all raise when the closure is called.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -40,7 +51,9 @@ __all__ = [
     "Expr",
     "Bindings",
     "FUNCTIONS",
+    "MAX_DEPTH",
     "parse",
+    "compile",
     "evaluate",
     "diff",
     "format_expr",
@@ -104,20 +117,44 @@ class Call:
 
 Expr = Union[Const, Var, Neg, BinOp, Pow, Call]
 
+# Deepest expression parse accepts, in parser nesting and in tree height.
+# The parser recurses five frames per nesting level; diff, format_expr,
+# compile and the compiled closures recurse one frame per tree level, and a
+# second derivative can be six times deeper than its expression (a chain of
+# quotients).  At 100 every pass stays near 600 frames, inside Python's
+# default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
+def _depth(e: Expr) -> int:
+    """Height of the tree (a leaf is 1), counted without recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((child, d + 1) for child in _children(node))
+    return deepest
+
 
 def free_variables(e: Expr) -> set:
     """Names of all variables and parameters referenced by e."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    return set()
+    names, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        stack.extend(_children(node))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +224,8 @@ def power(base: Expr, exponent: float) -> Expr:
         return base
     if isinstance(base, Const):
         try:
-            return Const(_eval_pow(base.value, exponent))
+            with np.errstate(all="ignore"):
+                return Const(_pow_fn(exponent)(base.value))
         except ScaleVarError:
             pass
     return Pow(base, exponent)
@@ -198,7 +236,8 @@ def func(fn: str, arg: Expr) -> Expr:
         raise ValidationError(f"unknown function {fn!r}")
     if isinstance(arg, Const):
         try:
-            return Const(complex(_apply_fn(fn, arg.value)))
+            with np.errstate(all="ignore"):
+                return Const(complex(_FN_IMPL[fn](arg.value)))
         except ScaleVarError:
             pass
     return Call(fn, arg)
@@ -242,12 +281,25 @@ def _tokenize(text: str):
     return tokens
 
 
+def _finite(node: Expr, column: int) -> Expr:
+    """node, unless folding just made a non-finite constant.
+
+    Folding creates constants at the top only, or, when mul() merges
+    constant factors, as the left operand of a product.
+    """
+    const = node.left if isinstance(node, BinOp) else node
+    if isinstance(const, Const) and not cmath.isfinite(const.value):
+        raise ExpressionError(f"constant is not finite ({const.value})", column)
+    return node
+
+
 class _Parser:
     def __init__(self, tokens, dim, params):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
         self.params = params
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -266,24 +318,34 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
+            op = self.take()
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = _finite(add(node, rhs) if op.text == "+" else sub(node, rhs), op.column)
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
+            op = self.take()
             rhs = self.unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = _finite(mul(node, rhs) if op.text == "*" else div(node, rhs), op.column)
         return node
 
     def unary(self) -> Expr:
+        # every nesting (parentheses, function arguments, signs, exponents)
+        # passes through here, so this bounds the parser's recursion
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_DEPTH} levels", self.peek().column
+            )
         if self.peek().kind == "op" and self.peek().text == "-":
             self.take()
-            return neg(self.unary())
-        return self.power()
+            node = neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -292,13 +354,17 @@ class _Parser:
             exp_node = self.unary()
             if not isinstance(exp_node, Const) or exp_node.value.imag != 0:
                 raise ExpressionError("exponent must fold to a real constant", caret.column)
-            return power(base, exp_node.value.real)
+            try:
+                node = power(base, exp_node.value.real)
+            except OverflowError:
+                raise ExpressionError("constant is not finite (overflow)", caret.column) from None
+            return _finite(node, caret.column)
         return base
 
     def atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            return _finite(Const(float(tok.text)), tok.column)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
             self.expect_op(")")
@@ -309,7 +375,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return func(name, arg)
+                return _finite(func(name, arg), tok.column)
             return self.resolve(name, tok.column)
         raise ExpressionError(f"unexpected token {tok.text or 'end of input'!r}", tok.column)
 
@@ -344,6 +410,8 @@ def parse(text: str, dim: int = 1, param_names=()) -> Expr:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExpressionError(f"unexpected token {trailing.text!r}", trailing.column)
+    if _depth(node) > MAX_DEPTH:
+        raise ExpressionError(f"expression tree is deeper than {MAX_DEPTH} levels")
     return node
 
 
@@ -382,66 +450,135 @@ def _ipow(z, n: int):
         raise NumericalError("zero base raised to a negative power") from None
 
 
-def _eval_pow(z, c: float):
+def _pow_fn(c: float):
+    """z -> z^c: Python integer powers for integral c, a principal complex power otherwise."""
     if float(c).is_integer():
-        return _ipow(z, int(c))
-    return np.power(_coerce(z), c)
+        n = int(c)
+        if n >= 0:
+            return lambda z: z**n
+        return lambda z: _ipow(z, n)
+    return lambda z: np.power(_coerce(z), c)
 
 
-def _apply_fn(fn: str, z):
-    if fn == "sin":
-        return np.sin(z)
-    if fn == "cos":
-        return np.cos(z)
-    if fn == "exp":
-        return np.exp(z)
-    if fn == "ln":
-        if np.any(z == 0):
-            raise NumericalError("ln(0)")
-        return np.log(z)
-    if fn == "sqrt":
-        return np.sqrt(z)
-    if fn == "abs2":
-        return (z * np.conjugate(z)).real
-    if fn == "conj":
-        return np.conjugate(z)
-    raise ValidationError(f"unknown function {fn!r}")  # pragma: no cover
+def _ln(z):
+    if np.any(z == 0):
+        raise NumericalError("ln(0)")
+    return np.log(z)
 
 
-def evaluate(e: Expr, b: Bindings):
-    """Evaluate to a complex scalar, or an array when bindings carry arrays."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.kind == "t":
-            return _coerce(b.t)
-        if e.kind == "param":
-            if e.name not in b.params:
-                raise ValidationError(f"unbound parameter {e.name!r}")
-            return _coerce(b.params[e.name])
-        seq = b.q if e.kind == "q" else b.v
-        if len(seq) < e.index:
+def _abs2(z):
+    return (z * np.conjugate(z)).real
+
+
+_FN_IMPL = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "ln": _ln,
+    "sqrt": np.sqrt,
+    "abs2": _abs2,
+    "conj": np.conjugate,
+}
+
+
+def _lower_var(e: Var):
+    if e.kind == "t":
+        return lambda b: _coerce(b.t)
+    name = e.name
+    if e.kind == "param":
+
+        def param(b):
+            if name not in b.params:
+                raise ValidationError(f"unbound parameter {name!r}")
+            return _coerce(b.params[name])
+
+        return param
+    kind, index = e.kind, e.index
+
+    def component(b):
+        seq = b.q if kind == "q" else b.v
+        if len(seq) < index:
             raise ValidationError(
-                f"binding supplies {len(seq)} {e.kind} components, {e.name} needs {e.index}"
+                f"binding supplies {len(seq)} {kind} components, {name} needs {index}"
             )
-        return _coerce(seq[e.index - 1])
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, b)
-    if isinstance(e, BinOp):
-        lhs = evaluate(e.left, b)
-        rhs = evaluate(e.right, b)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
+        return _coerce(seq[index - 1])
+
+    return component
+
+
+def compile(e: Expr):
+    """Lower e once to a closure b -> value over Bindings.
+
+    The closure performs the same operations on the same operand types as
+    the expression prescribes, node by node, so its results are bitwise
+    reproducible: constants come back as stored, variables pass through
+    complex coercion, integer powers use Python's integer power.  Guards
+    raise at call time: division by zero (omitted for a nonzero constant
+    denominator, where it cannot fire), ln(0), a zero base under a negative
+    power, unbound parameters and missing q/v components.
+    """
+    return _lower(e, {})
+
+
+def _lower(e: Expr, done: dict):
+    # Subtrees that diff() shares by reference are lowered once (keyed by
+    # identity, never by value: Const(1.0) == Const(1+0j)), so lowering a
+    # derivative costs its distinct nodes, not its expanded size.
+    fn = done.get(id(e))
+    if fn is not None:
+        return fn
+    if isinstance(e, Const):
+        value = e.value
+        fn = lambda b: value
+    elif isinstance(e, Var):
+        fn = _lower_var(e)
+    elif isinstance(e, Neg):
+        arg = _lower(e.arg, done)
+        fn = lambda b: -arg(b)
+    elif isinstance(e, BinOp):
+        fn = _lower_binop(e, _lower(e.left, done), _lower(e.right, done))
+    elif isinstance(e, Pow):
+        base, pw = _lower(e.base, done), _pow_fn(e.exponent)
+        fn = lambda b: pw(base(b))
+    elif isinstance(e, Call):
+        if e.fn not in _FN_IMPL:
+            raise ValidationError(f"unknown function {e.fn!r}")
+        arg, impl = _lower(e.arg, done), _FN_IMPL[e.fn]
+        fn = lambda b: impl(arg(b))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    done[id(e)] = fn
+    return fn
+
+
+def _lower_binop(e: BinOp, left, right):
+    if e.op == "+":
+        return lambda b: left(b) + right(b)
+    if e.op == "-":
+        return lambda b: left(b) - right(b)
+    if e.op == "*":
+        return lambda b: left(b) * right(b)
+    if isinstance(e.right, Const) and e.right.value != 0:
+        den = e.right.value
+        return lambda b: left(b) / den
+
+    def divide(b):
+        lhs = left(b)
+        rhs = right(b)
         if np.any(rhs == 0):
             raise NumericalError("division by zero")
         return lhs / rhs
-    if isinstance(e, Pow):
-        return _eval_pow(evaluate(e.base, b), e.exponent)
-    return _apply_fn(e.fn, evaluate(e.arg, b))
+
+    return divide
+
+
+def evaluate(e: Expr, b: Bindings):
+    """Evaluate to a complex scalar, or an array when bindings carry arrays.
+
+    Equivalent to compile(e)(b); compile once and keep the closure when the
+    same expression is evaluated repeatedly.
+    """
+    return compile(e)(b)
 
 
 # ---------------------------------------------------------------------------
@@ -533,32 +670,27 @@ def _fmt_const(v: complex):
     return f"({_fmt_float(re_)}{sign}{tail})", _PREC_ATOM
 
 
-def _wrap(child: Expr, min_prec: int) -> str:
-    s, prec = _fmt(child)
-    return f"({s})" if prec < min_prec else s
-
-
-def _fmt(e: Expr):
+def _fmt(e: Expr, min_prec: int = _PREC_ADD) -> str:
+    """Text of e, parenthesised when it binds looser than min_prec."""
     if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_NEG), _PREC_NEG
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            lvl = _PREC_ADD
-        else:
-            lvl = _PREC_MUL
-        return _wrap(e.left, lvl) + e.op + _wrap(e.right, lvl + 1), lvl
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{_fmt_float(e.exponent)}", _PREC_POW
-    return f"{e.fn}({_fmt(e.arg)[0]})", _PREC_ATOM
+        s, prec = _fmt_const(e.value)
+    elif isinstance(e, Var):
+        s, prec = e.name, _PREC_ATOM
+    elif isinstance(e, Neg):
+        s, prec = "-" + _fmt(e.arg, _PREC_NEG), _PREC_NEG
+    elif isinstance(e, BinOp):
+        prec = _PREC_ADD if e.op in "+-" else _PREC_MUL
+        s = _fmt(e.left, prec) + e.op + _fmt(e.right, prec + 1)
+    elif isinstance(e, Pow):
+        s, prec = f"{_fmt(e.base, _PREC_ATOM)}^{_fmt_float(e.exponent)}", _PREC_POW
+    else:
+        s, prec = f"{e.fn}({_fmt(e.arg)})", _PREC_ATOM
+    return f"({s})" if prec < min_prec else s
 
 
 def format_expr(e: Expr) -> str:
     """Render an AST to text; reparsing yields a structurally identical AST."""
-    return _fmt(e)[0]
+    return _fmt(e)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +701,8 @@ class ScalarField:
     """Twice-differentiable scalar function of (t, q1..qd) with symbolic partials.
 
     Velocity variables are rejected; the Hessian is the full matrix of second
-    q-derivatives, precomputed symbolically.
+    q-derivatives, precomputed symbolically.  The value and every partial are
+    compiled once at construction.
     """
 
     def __init__(self, expr: Expr, dim: int, params=None):
@@ -584,6 +717,10 @@ class ScalarField:
         self.expr_hess = tuple(
             tuple(diff(g, f"q{j + 1}") for j in range(self.dim)) for g in self.expr_grad
         )
+        self._value = compile(self.expr)
+        self._time = compile(self.expr_t)
+        self._grad = tuple(compile(g) for g in self.expr_grad)
+        self._hess = tuple(tuple(compile(h) for h in row) for row in self.expr_hess)
 
     @classmethod
     def from_text(cls, text: str, dim: int = 1, params=None) -> "ScalarField":
@@ -594,17 +731,15 @@ class ScalarField:
         return Bindings(t=t, q=tuple(q), v=(), params=self.params)
 
     def value(self, t, q):
-        return evaluate(self.expr, self._bind(t, q))
+        return self._value(self._bind(t, q))
 
     def time_derivative(self, t, q):
-        return evaluate(self.expr_t, self._bind(t, q))
+        return self._time(self._bind(t, q))
 
     def gradient(self, t, q) -> np.ndarray:
         b = self._bind(t, q)
-        return np.array([evaluate(g, b) for g in self.expr_grad], dtype=np.complex128)
+        return np.array([g(b) for g in self._grad], dtype=np.complex128)
 
     def hessian(self, t, q) -> np.ndarray:
         b = self._bind(t, q)
-        return np.array(
-            [[evaluate(hkj, b) for hkj in row] for row in self.expr_hess], dtype=np.complex128
-        )
+        return np.array([[h(b) for h in row] for row in self._hess], dtype=np.complex128)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .funcspace import Path, TimeGrid
-from .lagdsl import Bindings, diff, evaluate, free_variables, parse
+from .lagdsl import Bindings, compile, diff, evaluate, free_variables, parse
 from .scaleops import ScaleParams, scale_derivative_path
 from .varcalc import NoetherReport, ResidualReport, _noether_report, _residual_report, _restrict
 
@@ -54,7 +54,8 @@ class SchrodingerProblem:
     psi is an expression over (t, q1..qd), the potential over (q1..qd) only;
     hbar and m are positive reals and gamma = hbar/(2m) is derived exactly.
     Symbolic partials of psi (time, gradient, diagonal second derivatives)
-    are precomputed once.
+    are precomputed once, and psi and its gradient are compiled once for the
+    pointwise calls of the trajectory integrator.
     """
 
     def __init__(self, psi, potential, hbar: float, m: float, dim: int = 1, params=None):
@@ -78,14 +79,20 @@ class SchrodingerProblem:
         self.psi_t = diff(self.psi, "t")
         self.psi_q = tuple(diff(self.psi, f"q{k + 1}") for k in range(self.dim))
         self.psi_qq = tuple(diff(self.psi_q[k], f"q{k + 1}") for k in range(self.dim))
+        self._psi_fn = compile(self.psi)
+        self._psi_q_fns = tuple(compile(d) for d in self.psi_q)
 
     def _bind(self, t, q) -> Bindings:
         return Bindings(t=t, q=tuple(q), v=(), params=self.params)
 
     def psi_values(self, t, q):
         """Psi(t, q), validated against the magnitude floor."""
-        psi = evaluate(self.psi, self._bind(t, q))
-        if np.min(np.abs(psi)) <= _PSI_FLOOR:
+        return self._psi_checked(self._bind(t, q))
+
+    def _psi_checked(self, b: Bindings):
+        psi = self._psi_fn(b)
+        smallest = np.min(np.abs(psi)) if isinstance(psi, np.ndarray) else abs(psi)
+        if smallest <= _PSI_FLOOR:
             raise NumericalError(
                 f"wavefunction magnitude at or below {_PSI_FLOOR} on the probed region"
             )
@@ -128,8 +135,8 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         raise ValidationError(
             f"probe positions have shape {qs.shape}, expected ({ts.size}, {prob.dim})"
         )
-    b = prob._bind(ts, tuple(qs.T))
-    psi = prob.psi_values(ts, tuple(qs.T))
+    b = prob._bind(ts, qs.T)
+    psi = prob._psi_checked(b)
     lap = np.zeros(ts.shape, dtype=np.complex128)
     for k in range(prob.dim):
         lap = lap + evaluate(prob.psi_qq[k], b)
@@ -145,10 +152,10 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
 def _log_gradient_sum(prob: SchrodingerProblem, t, q):
     """sum_k (dPsi/dq_k)/Psi in quotient form, branch-free."""
     b = prob._bind(t, q)
-    psi = prob.psi_values(t, q)
+    psi = prob._psi_checked(b)
     total = 0.0 + 0.0j
-    for k in range(prob.dim):
-        total = total + evaluate(prob.psi_q[k], b) / psi
+    for dq in prob._psi_q_fns:
+        total = total + dq(b) / psi
     return total
 
 
@@ -157,10 +164,10 @@ def velocity_field(prob: SchrodingerProblem, t: float, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128).ravel()
     if q.size != prob.dim:
         raise ValidationError(f"position has {q.size} components, expected {prob.dim}")
-    b = prob._bind(t, tuple(q))
-    psi = prob.psi_values(t, tuple(q))
+    b = prob._bind(t, q)
+    psi = prob._psi_checked(b)
     return np.array(
-        [-2j * prob.gamma * evaluate(dq, b) / psi for dq in prob.psi_q], dtype=np.complex128
+        [-2j * prob.gamma * dq(b) / psi for dq in prob._psi_q_fns], dtype=np.complex128
     )
 
 

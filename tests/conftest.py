@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scalevar import Path, make_grid, sample
+from scalevar import NumericalError, Path, ValidationError, make_grid, sample
+from scalevar.lagdsl import BinOp, Const, Neg, Pow, Var
 
 
 def ulps_apart(x, y) -> float:
@@ -38,3 +39,97 @@ def rng():
 
 def sampled(fn, grid, dim=1, label="", vectorized=True):
     return sample(Path.from_callable(fn, dim=dim, vectorized=vectorized, label=label), grid)
+
+
+# ---------------------------------------------------------------------------
+# reference expression evaluator: the recursive tree walk that lagdsl.compile
+# replaced, copied with its helpers as the oracle for bitwise comparisons
+
+
+def _ref_coerce(x):
+    if isinstance(x, np.ndarray):
+        return x.astype(np.complex128, copy=False)
+    return complex(x)
+
+
+def _ref_ipow(z, n: int):
+    if n < 0:
+        if np.any(z == 0):
+            raise NumericalError("zero base raised to a negative power")
+        return 1.0 / _ref_ipow(z, -n)
+    try:
+        return z**n
+    except ZeroDivisionError:  # pragma: no cover - guarded above
+        raise NumericalError("zero base raised to a negative power") from None
+
+
+def _ref_eval_pow(z, c: float):
+    if float(c).is_integer():
+        return _ref_ipow(z, int(c))
+    return np.power(_ref_coerce(z), c)
+
+
+def _ref_apply_fn(fn: str, z):
+    if fn == "sin":
+        return np.sin(z)
+    if fn == "cos":
+        return np.cos(z)
+    if fn == "exp":
+        return np.exp(z)
+    if fn == "ln":
+        if np.any(z == 0):
+            raise NumericalError("ln(0)")
+        return np.log(z)
+    if fn == "sqrt":
+        return np.sqrt(z)
+    if fn == "abs2":
+        return (z * np.conjugate(z)).real
+    if fn == "conj":
+        return np.conjugate(z)
+    raise ValidationError(f"unknown function {fn!r}")  # pragma: no cover
+
+
+def reference_evaluate(e, b):
+    """Evaluate to a complex scalar, or an array when bindings carry arrays."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        if e.kind == "t":
+            return _ref_coerce(b.t)
+        if e.kind == "param":
+            if e.name not in b.params:
+                raise ValidationError(f"unbound parameter {e.name!r}")
+            return _ref_coerce(b.params[e.name])
+        seq = b.q if e.kind == "q" else b.v
+        if len(seq) < e.index:
+            raise ValidationError(
+                f"binding supplies {len(seq)} {e.kind} components, {e.name} needs {e.index}"
+            )
+        return _ref_coerce(seq[e.index - 1])
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.arg, b)
+    if isinstance(e, BinOp):
+        lhs = reference_evaluate(e.left, b)
+        rhs = reference_evaluate(e.right, b)
+        if e.op == "+":
+            return lhs + rhs
+        if e.op == "-":
+            return lhs - rhs
+        if e.op == "*":
+            return lhs * rhs
+        if np.any(rhs == 0):
+            raise NumericalError("division by zero")
+        return lhs / rhs
+    if isinstance(e, Pow):
+        return _ref_eval_pow(reference_evaluate(e.base, b), e.exponent)
+    return _ref_apply_fn(e.fn, reference_evaluate(e.arg, b))
+
+
+def same_bits(x, y) -> bool:
+    """Same Python type, dtype, shape and bytes: the bitwise-identity check."""
+    ax, ay = np.asarray(x), np.asarray(y)
+    return (
+        type(x) is type(y)
+        and (ax.dtype, ax.shape) == (ay.dtype, ay.shape)
+        and ax.tobytes() == ay.tobytes()
+    )

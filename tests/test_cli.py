@@ -1,9 +1,11 @@
 import json
+import os
 import pathlib
 
 import pytest
 
 from scalevar.cli import max_threads, run
+from scalevar.lagdsl import MAX_DEPTH
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
@@ -173,3 +175,70 @@ def test_holder_summary_reports_theory_alpha(tmp_path):
     summary = json.loads(summary_path.read_text())
     assert abs(summary["alpha"] - summary["theory_alpha"]) < 0.1
     assert summary["delta_max"] == 0.125
+
+
+@pytest.mark.parametrize(
+    "field, text, column",
+    [
+        ("problem.path", "1e400*t", 1),
+        ("problem.path", "t + 1e400-1e400", 5),
+        ("problem.L", "0.5*v1^2 + exp(1000)", 12),
+    ],
+)
+def test_non_finite_constant_exits_two_naming_field(tmp_path, capsys, field, text, column):
+    config = CONFIG_DIR / "noether_free_particle.json"
+    code, _, _ = _run(tmp_path, config, f"{field}={json.dumps(text)}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f'invalid field "{field}"' in err and f"(column {column})" in err
+    assert "not finite" in err
+
+
+def test_expression_depth_cap_through_the_cli(tmp_path, capsys):
+    config = CONFIG_DIR / "deriv_parabola.json"
+    at_cap = json.dumps("+".join(["t"] * MAX_DEPTH))
+    code, _, summary_path = _run(tmp_path / "ok", config, f"problem.path={at_cap}")
+    assert code == 0
+    assert json.loads(summary_path.read_text())["max_abs"] == pytest.approx(MAX_DEPTH)
+    too_deep = json.dumps("+".join(["t"] * 3000))
+    code, _, _ = _run(tmp_path / "deep", config, f"problem.path={too_deep}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert 'invalid field "problem.path"' in err and "deeper than" in err
+
+
+def test_stale_temp_directory_does_not_block_the_run(tmp_path):
+    config = CONFIG_DIR / "noether_free_particle.json"
+    code, csv_path, _ = _run(tmp_path / "ref", config)
+    assert code == 0
+    prefix = tmp_path / "out" / "noether_free_particle"
+    blocker = pathlib.Path(str(prefix) + ".csv.tmp")
+    blocker.mkdir(parents=True)
+    code, csv2, _ = _run(tmp_path, config)
+    assert code == 0
+    assert csv2.read_bytes() == csv_path.read_bytes()
+    assert blocker.is_dir() and sorted(p.name for p in csv2.parent.iterdir()) == [
+        "noether_free_particle.csv",
+        "noether_free_particle.csv.tmp",
+        "noether_free_particle.summary.json",
+    ]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, csv_path, _ = _run(tmp_path, CONFIG_DIR / "noether_free_particle.json")
+    assert code == 2
+    assert "cannot replace" in capsys.readouterr().err
+    assert list(csv_path.parent.iterdir()) == []
+
+
+def test_outputs_keep_the_default_file_mode(tmp_path):
+    code, csv_path, summary_path = _run(tmp_path, CONFIG_DIR / "deriv_parabola.json")
+    assert code == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in (csv_path, summary_path):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -1,15 +1,27 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from scalevar import ExpressionError, NumericalError, ValidationError
+from conftest import reference_evaluate, same_bits
+from scalevar import ExpressionError, NumericalError, ScaleVarError, ValidationError
 from scalevar.lagdsl import (
+    FUNCTIONS,
+    MAX_DEPTH,
+    BinOp,
     Bindings,
+    Call,
     Const,
+    Neg,
     Pow,
     ScalarField,
+    Var,
     add,
+    compile,
     diff,
     evaluate,
     format_expr,
@@ -17,6 +29,8 @@ from scalevar.lagdsl import (
     mul,
     parse,
 )
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 # ---------------------------------------------------------------------------
 # deterministic corpus of guarded random expressions
@@ -311,3 +325,232 @@ def test_scalar_field_gradient_and_hessian():
 def test_scalar_field_rejects_velocities():
     with pytest.raises(ValidationError):
         ScalarField.from_text("v1^2", 1)
+
+
+# ---------------------------------------------------------------------------
+# compiled closures against the reference tree walk, bit for bit
+
+# int, float and complex constants as the folding constructors leave them;
+# 0.0, -0.0 and 0j compare equal but are different operands
+_CONSTS = [0, 1, 0.0, -0.0, 1.0, 2.5, -1.5, 1e-3, 1j, 1 + 0j, -2j, 0.5 - 0.25j]
+_VARS = [
+    Var("t", 0, "t"),
+    Var("q", 1, "q1"),
+    Var("q", 2, "q2"),
+    Var("v", 1, "v1"),
+    Var("v", 2, "v2"),
+    Var("param", 0, "k"),
+]
+_EXPONENTS = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 2, -0.5, 0.5, 1.5]
+_POOL = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 0.3 + 0.4j, -1j, 1.5 - 0.5j]
+_KINDS = ("float", "complex", "float64", "complex128", "float array", "complex array")
+
+_leaves = st.one_of(st.sampled_from(_CONSTS).map(Const), st.sampled_from(_VARS))
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.sampled_from(_EXPONENTS)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    ),
+    max_leaves=12,
+)
+
+
+def _component(kind, values):
+    """One binding value of the given kind from pool values (first one for scalars)."""
+    if kind.endswith("array"):
+        arr = np.array(values, dtype=np.complex128)
+        return arr.real.copy() if kind == "float array" else arr
+    z = complex(values[0])
+    return {
+        "float": z.real,
+        "complex": z,
+        "float64": np.float64(z.real),
+        "complex128": np.complex128(z),
+    }[kind]
+
+
+@st.composite
+def _bindings(draw):
+    """Bindings whose components each take a random kind, scalar or array."""
+
+    def component():
+        kind = draw(st.sampled_from(_KINDS))
+        return _component(kind, draw(st.lists(st.sampled_from(_POOL), min_size=3, max_size=3)))
+
+    return Bindings(
+        t=component(),
+        q=(component(), component()),
+        v=(component(), component()),
+        params={"k": component()},
+    )
+
+
+def _outcome(fn):
+    """("value", result) or ("error", (type, message)); numpy warnings muted."""
+    with np.errstate(all="ignore"):
+        try:
+            return "value", fn()
+        except (ScaleVarError, ArithmeticError) as err:
+            return "error", (type(err), str(err))
+
+
+def _assert_same_as_reference(e, b, closure=None):
+    closure = compile(e) if closure is None else closure
+    want = _outcome(lambda: reference_evaluate(e, b))
+    for got in (_outcome(lambda: closure(b)), _outcome(lambda: evaluate(e, b))):
+        assert got[0] == want[0], (e, b, want, got)
+        if want[0] == "value":
+            assert same_bits(got[1], want[1]), (e, b, want[1], got[1])
+        else:
+            assert got[1] == want[1], (e, b)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(e=_trees, bs=st.lists(_bindings(), min_size=2, max_size=2))
+def test_compiled_matches_reference_walk_bitwise(e, bs):
+    closure = compile(e)  # compiled once, called on several bindings
+    for b in bs:
+        _assert_same_as_reference(e, b, closure)
+
+
+def _bundled_texts():
+    """(text, dim) of every expression in the bundled configs."""
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        problem = json.loads(config.read_text())["problem"]
+        paths = problem.get("path", [])
+        paths = [paths] if isinstance(paths, str) else paths
+        dim = len(problem["q0"]) if "q0" in problem else len(paths)
+        xi = problem.get("xi", [])
+        xi = [xi] if isinstance(xi, str) else xi
+        yield from ((p, 0) for p in paths)
+        yield from ((problem[k], dim) for k in ("L", "tau", "psi", "potential") if k in problem)
+        yield from ((x, dim) for x in xi)
+
+
+def _with_derivatives(e, dim):
+    out = [e]
+    for var in ["t"] + [f"{kind}{k}" for kind in "qv" for k in range(1, dim + 1)]:
+        try:
+            out.append(diff(e, var))
+        except ExpressionError:  # abs2/conj along a complex variable
+            pass
+    return out
+
+
+def test_bundled_and_corpus_expressions_match_reference_walk():
+    texts = list(_bundled_texts()) + [(text, 2) for text in _corpus()]
+    assert len(texts) > 20
+    for text, dim in texts:
+        for e in _with_derivatives(parse(text, dim), dim):
+            for k, kind in enumerate(_KINDS):  # every component of one kind
+                values = _POOL[k : k + 3] if kind.endswith("array") else [0.3 - 0.2j]
+                comps = [_component(kind, values) for _ in range(5)]
+                b = Bindings(t=comps[0], q=tuple(comps[1:3]), v=tuple(comps[3:5]))
+                _assert_same_as_reference(e, b)
+
+
+@pytest.mark.parametrize(
+    "text, bindings, message",
+    [
+        ("1/q1", Bindings(q=(0.0,)), "division by zero"),
+        ("q1/0", Bindings(q=(1.0,)), "division by zero"),  # a zero constant denominator
+        ("t/(q1-q1)", Bindings(t=np.ones(3), q=(np.arange(3.0),)), "division by zero"),
+        ("ln(q1)", Bindings(q=(np.array([1.0, 0.0]),)), "ln(0)"),
+        ("q1^-2", Bindings(q=(0j,)), "zero base raised to a negative power"),
+        ("k*t", Bindings(t=1.0), "unbound parameter 'k'"),
+        ("q1+q2", Bindings(q=(1.0,)), "binding supplies 1 q components, q2 needs 2"),
+        ("v2", Bindings(v=(1.0,)), "binding supplies 1 v components, v2 needs 2"),
+    ],
+)
+def test_compiled_guards_raise_like_reference(text, bindings, message):
+    e = parse(text, 2, ("k",))
+    want = _outcome(lambda: reference_evaluate(e, bindings))
+    assert want[0] == "error" and want[1][1] == message
+    _assert_same_as_reference(e, bindings)
+
+
+# ---------------------------------------------------------------------------
+# non-finite constants and the depth cap
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("1e400", 1),
+        ("t + 1e400", 5),
+        ("1e400-1e400", 1),
+        ("q1*1e200*1e200", 9),
+        ("-1e308*10", 7),
+        ("2*exp(1000)", 3),
+        ("10^400", 3),
+        ("sqrt(-1)", 1),
+    ],
+)
+def test_non_finite_constant_rejected_at_parse(text, column):
+    with pytest.raises(ExpressionError, match="not finite") as info:
+        parse(text, 1)
+    assert info.value.column == column
+
+
+def test_largest_finite_constants_parse():
+    assert parse("1.7e308", 1) == Const(1.7e308)
+    assert parse("exp(700)", 1).value == pytest.approx(np.exp(700.0))
+
+
+def _quotient_chain(depth: int) -> str:
+    """Left-deep quotients q1/(q1+2)/(q1+2)..., a tree of the given depth.
+
+    Of the shapes tried, its derivatives grow deepest: the first is about
+    three times, the second about six times as deep as the expression.
+    """
+    return "q1" + "/(q1+2)" * (depth - 2)
+
+
+_AT_CAP = {
+    "sum": "+".join(["t"] * MAX_DEPTH),
+    "quotients": _quotient_chain(MAX_DEPTH),
+    "nested calls": "sin(" * (MAX_DEPTH - 1) + "q1" + ")" * (MAX_DEPTH - 1),
+    "parentheses": "(" * (MAX_DEPTH - 1) + "q1" + ")" * (MAX_DEPTH - 1),
+}
+
+
+@pytest.mark.parametrize("text", _AT_CAP.values(), ids=_AT_CAP.keys())
+def test_depth_cap_admits_every_pass_at_the_cap(text):
+    e = parse(text, 1)
+    assert parse(format_expr(e), 1) == e
+    d1 = diff(e, "q1")
+    assert format_expr(d1)
+    b = Bindings(t=0.5, q=(0.25,))
+    for x in (e, d1):
+        _assert_same_as_reference(x, b)
+    compile(diff(d1, "q1"))
+
+
+def test_passes_recurse_six_times_deeper_than_the_cap():
+    # as deep as the second derivative of a quotient chain at the cap
+    q1 = Var("q", 1, "q1")
+    e = q1
+    for _ in range(6 * MAX_DEPTH):
+        e = BinOp("/", e, q1)
+    assert format_expr(e).count("/") == 6 * MAX_DEPTH
+    assert compile(e)(Bindings(q=(1.0,))) == 1.0
+    assert isinstance(diff(e, "q1"), BinOp)
+
+
+_BEYOND_CAP = {
+    "sum": "+".join(["t"] * (MAX_DEPTH + 1)),
+    "3000 terms": "+".join(["t"] * 3000),
+    "quotients": _quotient_chain(MAX_DEPTH + 1),
+    "nested calls": "sin(" * MAX_DEPTH + "q1" + ")" * MAX_DEPTH,
+    "parentheses": "(" * MAX_DEPTH + "q1" + ")" * MAX_DEPTH,
+    "signs": "-" * 5000 + "q1",
+}
+
+
+@pytest.mark.parametrize("text", _BEYOND_CAP.values(), ids=_BEYOND_CAP.keys())
+def test_depth_cap_rejects_deeper_expressions(text):
+    with pytest.raises(ExpressionError, match="deeper than"):
+        parse(text, 1)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import reference_evaluate
 from scalevar import (
+    Bindings,
     NumericalError,
     ScaleParams,
     SchrodingerProblem,
@@ -141,6 +143,55 @@ def test_trajectory_divergence_guard():
 def test_trajectory_q0_dimension_check():
     with pytest.raises(ValidationError):
         integrate_trajectory(PLANE, [0.0, 1.0], GRID)
+
+
+def _reference_trajectory(prob, q0, grid):
+    """Fixed-step RK4 with the velocity field on the reference tree walk."""
+
+    def velocity(t, y):
+        b = Bindings(t=t, q=tuple(y), v=(), params=prob.params)
+        psi = reference_evaluate(prob.psi, b)
+        return np.array(
+            [-2j * prob.gamma * reference_evaluate(dq, b) / psi for dq in prob.psi_q],
+            dtype=np.complex128,
+        )
+
+    def step(t, y, h):
+        k1 = velocity(t, y)
+        k2 = velocity(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = velocity(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = velocity(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    ts = grid.nodes()
+    out = np.empty((ts.size, prob.dim), dtype=np.complex128)
+    anchor = grid.pad_steps
+    out[anchor] = np.asarray(q0, dtype=np.complex128)
+    for i in range(anchor, ts.size - 1):
+        out[i + 1] = step(ts[i], out[i], grid.h)
+    for i in range(anchor, 0, -1):
+        out[i - 1] = step(ts[i], out[i], -grid.h)
+    return out
+
+
+@pytest.mark.parametrize(
+    "prob, q0",
+    [
+        (GAUSS, [1.0]),
+        (
+            # 2-D ground state with frequencies 1 and 2, energy 3/2
+            SchrodingerProblem(
+                "exp(-(q1^2 + 2*q2^2)/2)*exp(-i*1.5*t)", "0.5*q1^2 + 2*q2^2", 1.0, 1.0, dim=2
+            ),
+            [0.6, -0.4 + 0.1j],
+        ),
+    ],
+    ids=["1-D", "2-D"],
+)
+def test_trajectory_matches_reference_walk_bitwise(prob, q0):
+    grid = make_grid(0.0, 0.5, 250, 0.01)
+    traj = integrate_trajectory(prob, q0, grid)
+    assert np.array_equal(traj.path.values, _reference_trajectory(prob, q0, grid))
 
 
 # ---------------------------------------------------------------------------
