@@ -4,9 +4,12 @@ plus a JSON summary.
 Usage:  scalevar run <config.json> [--set key=value]...
 
 Exit codes: 0 success, 2 validation error (schema, expressions, grids),
-3 numerical failure (NaN, divergence, degenerate data).  Output files are
-written atomically (temp file, then rename) and are byte-identical across
-runs of the same config.  SCALEVAR_THREADS caps internal parallelism.
+3 numerical failure (NaN, divergence, degenerate data).  Each command returns
+a header, a float64 table and a summary; both texts are rendered and checked
+for finiteness before either file is written, so a failed run writes neither.
+CSV numbers are repr() of the floats.  Files are written atomically (temp
+file, then rename) and are byte-identical across runs of the same config.
+SCALEVAR_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -246,13 +249,6 @@ def _config_symmetry(cfg, params, dim) -> SymmetrySpec:
 # Output writers
 
 
-def _fmt_num(x) -> str:
-    f = float(x)
-    if not math.isfinite(f):
-        raise NumericalError("non-finite value in output")
-    return repr(f)
-
-
 def _atomic_write(path: str, text: str) -> None:
     """Write text to a fresh temp file beside path, then rename it over path.
 
@@ -277,23 +273,24 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(prefix: str, header, rows) -> None:
+def _csv_text(header, table: np.ndarray) -> str:
+    """CSV text of a float64 table: each number is repr() of its float, rows end in LF."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NumericalError(
+            f'non-finite value in output column "{header[j]}" at {header[0]}={float(table[i, 0])!r}'
+        )
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_num(x) for x in row))
-    _atomic_write(prefix + ".csv", "\n".join(lines) + "\n")
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
-def _write_summary(prefix: str, summary: dict) -> None:
-    cleaned = {}
+def _summary_text(summary: dict) -> str:
     for key, value in summary.items():
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise NumericalError("non-finite value in summary")
-            cleaned[key] = float(value)
-        else:
-            cleaned[key] = value
-    _atomic_write(prefix + ".summary.json", json.dumps(cleaned, sort_keys=True, indent=2) + "\n")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalError(f'non-finite value in summary key "{key}"')
+    return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
 def _complex_columns(prefix: str, dim: int):
@@ -305,20 +302,17 @@ def _complex_columns(prefix: str, dim: int):
     return cols
 
 
-def _series_rows(ts, arrays):
-    """Rows (t, re, im, ...) from a time vector and complex arrays (N,) or (N, d)."""
-    mats = []
+def _table(ts, arrays) -> np.ndarray:
+    """Float64 table (t, re, im, ...) from a time vector and complex arrays (N,) or (N, d).
+
+    Viewing complex128 as float64 interleaves each (re, im) pair with its
+    exact bits, -0.0 included.
+    """
+    cols = [np.asarray(ts, dtype=np.float64)[:, None]]
     for arr in arrays:
-        arr = np.asarray(arr)
-        mats.append(arr[:, None] if arr.ndim == 1 else arr)
-    rows = []
-    for i, t in enumerate(ts):
-        row = [t]
-        for mat in mats:
-            for z in mat[i]:
-                row += [z.real, z.imag]
-        rows.append(row)
-    return rows
+        z = np.ascontiguousarray(np.asarray(arr, dtype=np.complex128))
+        cols.append((z[:, None] if z.ndim == 1 else z).view(np.float64))
+    return np.hstack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +336,7 @@ def _cmd_deriv(cfg):
         "max_abs": float(mags.max()),
         "l2": float(math.sqrt(grid.h * float((mags**2).sum()))),
     }
-    return header, _series_rows(ts, [vals]), summary
+    return header, _table(ts, [vals]), summary
 
 
 def _cmd_functional(cfg):
@@ -360,7 +354,7 @@ def _cmd_functional(cfg):
         "value_re": value.real,
         "value_im": value.imag,
     }
-    return header, _series_rows(ts, [integrand]), summary
+    return header, _table(ts, [integrand]), summary
 
 
 def _cmd_residual(cfg, which: str):
@@ -379,7 +373,7 @@ def _cmd_residual(cfg, which: str):
         "max_abs": report.max_abs,
         "l2": report.l2,
     }
-    return header, _series_rows(report.node_times, [report.residuals]), summary
+    return header, _table(report.node_times, [report.residuals]), summary
 
 
 def _cmd_invariance(cfg):
@@ -402,7 +396,7 @@ def _cmd_invariance(cfg):
         "integral_im": integral.imag,
         "difference_abs": abs(derivative - integral),
     }
-    return header, _series_rows(ts, [integrand]), summary
+    return header, _table(ts, [integrand]), summary
 
 
 def _cmd_noether(cfg):
@@ -421,7 +415,7 @@ def _cmd_noether(cfg):
         "mean_im": report.mean.imag,
         "drift": report.drift,
     }
-    return header, _series_rows(report.node_times, [report.constant_samples]), summary
+    return header, _table(report.node_times, [report.constant_samples]), summary
 
 
 def _cmd_schrodinger(cfg):
@@ -462,7 +456,7 @@ def _cmd_schrodinger(cfg):
         + ["c_thm_re", "c_thm_im", "c_var_re", "c_var_im"]
     )
     # core nodes of the energy window coincide with the grid core, so qs aligns
-    rows = _series_rows(thm.node_times, [qs, thm.constant_samples, var.constant_samples])
+    table = _table(thm.node_times, [qs, thm.constant_samples, var.constant_samples])
     summary = {
         "command": "schrodinger",
         "n_nodes": int(thm.node_times.size),
@@ -477,7 +471,7 @@ def _cmd_schrodinger(cfg):
             np.max(np.abs(thm.constant_samples - var.constant_samples))
         ),
     }
-    return header, rows, summary
+    return header, table, summary
 
 
 def _cmd_holder(cfg):
@@ -508,7 +502,7 @@ def _cmd_holder(cfg):
     profile = oscillation_profile(p, deltas_f, sample_count, interval=interval, max_workers=workers)
     estimate = estimate_holder(p, deltas_f, sample_count, interval=interval, max_workers=workers)
     header = ["delta", "m_max"]
-    rows = [[d, m] for d, m in zip(deltas_f, profile)]
+    table = np.column_stack([deltas_f, profile])
     summary = {
         "command": "holder",
         "alpha": estimate.alpha,
@@ -518,7 +512,7 @@ def _cmd_holder(cfg):
     }
     if meta_alpha is not None:
         summary["theory_alpha"] = float(meta_alpha)
-    return header, rows, summary
+    return header, table, summary
 
 
 _DISPATCH = {
@@ -543,9 +537,11 @@ def run(config_path: str, overrides=()) -> int:
                 f'invalid field "command": expected one of {", ".join(COMMANDS)}, got {command!r}'
             )
         prefix = _field(cfg, "output", str, what="an output path prefix")
-        header, rows, summary = _DISPATCH[command](cfg)
-        _write_csv(prefix, header, rows)
-        _write_summary(prefix, summary)
+        header, table, summary = _DISPATCH[command](cfg)
+        csv_text = _csv_text(header, table)
+        summary_text = _summary_text(summary)
+        _atomic_write(prefix + ".csv", csv_text)
+        _atomic_write(prefix + ".summary.json", summary_text)
     except NumericalError as err:
         print(f"scalevar: numerical failure: {err}", file=sys.stderr)
         return 3

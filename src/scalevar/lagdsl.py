@@ -226,6 +226,8 @@ def power(base: Expr, exponent: float) -> Expr:
         try:
             with np.errstate(all="ignore"):
                 return Const(_pow_fn(exponent)(base.value))
+        except OverflowError:
+            raise ExpressionError("constant is not finite (overflow)") from None
         except ScaleVarError:
             pass
     return Pow(base, exponent)
@@ -356,8 +358,8 @@ class _Parser:
                 raise ExpressionError("exponent must fold to a real constant", caret.column)
             try:
                 node = power(base, exp_node.value.real)
-            except OverflowError:
-                raise ExpressionError("constant is not finite (overflow)", caret.column) from None
+            except ExpressionError as err:
+                raise ExpressionError(str(err), caret.column) from None
             return _finite(node, caret.column)
         return base
 
@@ -538,8 +540,7 @@ def _lower(e: Expr, done: dict):
     elif isinstance(e, BinOp):
         fn = _lower_binop(e, _lower(e.left, done), _lower(e.right, done))
     elif isinstance(e, Pow):
-        base, pw = _lower(e.base, done), _pow_fn(e.exponent)
-        fn = lambda b: pw(base(b))
+        fn = _lower_pow(e, _lower(e.base, done))
     elif isinstance(e, Call):
         if e.fn not in _FN_IMPL:
             raise ValidationError(f"unknown function {e.fn!r}")
@@ -549,6 +550,19 @@ def _lower(e: Expr, done: dict):
         raise TypeError(f"not an expression node: {e!r}")
     done[id(e)] = fn
     return fn
+
+
+def _lower_pow(e: Pow, base):
+    pw = _pow_fn(e.exponent)
+
+    def raise_to(b):
+        z = base(b)
+        try:
+            return pw(z)
+        except OverflowError:  # Python scalar ** overflows where numpy gives inf
+            raise NumericalError(f"overflow in power ^{e.exponent:g}") from None
+
+    return raise_to
 
 
 def _lower_binop(e: BinOp, left, right):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from scalevar import NumericalError, Path, ValidationError, make_grid, sample
+from scalevar.cli import _atomic_write
 from scalevar.lagdsl import BinOp, Const, Neg, Pow, Var
 
 
@@ -133,3 +136,38 @@ def same_bits(x, y) -> bool:
         and (ax.dtype, ax.shape) == (ay.dtype, ay.shape)
         and ax.tobytes() == ay.tobytes()
     )
+
+
+# ---------------------------------------------------------------------------
+# reference CSV writer: the per-cell path that the cli table writer replaced,
+# copied with its helper as the oracle for byte comparisons
+
+
+def _ref_fmt_num(x) -> str:
+    f = float(x)
+    if not math.isfinite(f):
+        raise NumericalError("non-finite value in output")
+    return repr(f)
+
+
+def reference_write_csv(prefix: str, header, rows) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_ref_fmt_num(x) for x in row))
+    _atomic_write(prefix + ".csv", "\n".join(lines) + "\n")
+
+
+def reference_series_rows(ts, arrays):
+    """Rows (t, re, im, ...) from a time vector and complex arrays (N,) or (N, d)."""
+    mats = []
+    for arr in arrays:
+        arr = np.asarray(arr)
+        mats.append(arr[:, None] if arr.ndim == 1 else arr)
+    rows = []
+    for i, t in enumerate(ts):
+        row = [t]
+        for mat in mats:
+            for z in mat[i]:
+                row += [z.real, z.imag]
+        rows.append(row)
+    return rows

@@ -1,10 +1,16 @@
 import json
+import math
 import os
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scalevar.cli import max_threads, run
+from conftest import reference_series_rows, reference_write_csv
+from scalevar import NumericalError
+from scalevar.cli import _csv_text, _table, max_threads, run
 from scalevar.lagdsl import MAX_DEPTH
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -242,3 +248,140 @@ def test_outputs_keep_the_default_file_mode(tmp_path):
     os.umask(umask)
     for path in (csv_path, summary_path):
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_run_keeps_the_previous_outputs(tmp_path, capsys):
+    config = CONFIG_DIR / "check_el_oscillator.json"
+    code, csv_path, summary_path = _run(tmp_path, config)
+    assert code == 0
+    before = csv_path.read_bytes(), summary_path.read_bytes()
+    # the CSV is finite, the summary's l2 overflows: neither file may change
+    code, _, _ = _run(tmp_path, config, 'problem.L="exp(700*v1^2)"')
+    assert code == 3
+    assert "summary" in capsys.readouterr().err
+    assert (csv_path.read_bytes(), summary_path.read_bytes()) == before
+    assert sorted(p.name for p in csv_path.parent.iterdir()) == [
+        "check_el_oscillator.csv",
+        "check_el_oscillator.summary.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "config, L, where",
+    [
+        ("functional_free_particle", "exp(800*v1)", 'output column "re_1" at t=0.0'),
+        ("check_el_oscillator", "exp(700*v1^2)", 'summary key "l2"'),
+    ],
+)
+def test_non_finite_value_is_located(tmp_path, capsys, config, L, where):
+    config = CONFIG_DIR / f"{config}.json"
+    code, csv_path, summary_path = _run(tmp_path, config, f"problem.L={json.dumps(L)}")
+    assert code == 3
+    assert f"numerical failure: non-finite value in {where}" in capsys.readouterr().err
+    assert not csv_path.exists() and not summary_path.exists()
+
+
+def test_integer_power_overflow_in_a_derivative_exits_two(tmp_path, capsys):
+    # d/dv1 of v1/1e200 folds the quotient rule's 1e200^2
+    config = CONFIG_DIR / "functional_free_particle.json"
+    code, _, _ = _run(tmp_path, config, 'problem.L="v1/1e200"')
+    assert code == 2
+    err = capsys.readouterr().err
+    assert 'invalid field "problem.L"' in err and "overflow" in err
+
+
+def test_integer_power_overflow_at_run_time_exits_three(tmp_path, capsys):
+    code, _, _ = _run(
+        tmp_path,
+        CONFIG_DIR / "schrodinger_gaussian.json",
+        'problem.psi="1+q1^400"',
+        "problem.q0=[10.0]",
+    )
+    assert code == 3
+    assert "numerical failure: overflow in power ^400" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the table writer against the per-cell reference writer
+
+# signed zeros, subnormals, the extremes, and both ends of repr's switch to exponent form
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 0.1, 1.0)
+_FINITE = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _series(draw):
+    """(ts, arrays): complex or real arrays of shape (N,) or (N, d), several per row."""
+    n = draw(st.integers(0, 5))
+    floats = lambda k: draw(st.lists(_FINITE, min_size=k, max_size=k))
+    ts = np.array(floats(n), dtype=np.float64)
+    arrays = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.sampled_from([None, 1, 2, 3]))
+        shape = (n,) if width is None else (n, width)
+        size = math.prod(shape)
+        if draw(st.booleans()):
+            arr = np.empty(shape, dtype=np.complex128)
+            arr.real = np.reshape(floats(size), shape)
+            arr.imag = np.reshape(floats(size), shape)
+        else:
+            arr = np.reshape(np.array(floats(size), dtype=np.float64), shape)
+        arrays.append(arr)
+    return ts, arrays
+
+
+def _header(arrays):
+    width = 1 + sum(2 * (1 if a.ndim == 1 else a.shape[1]) for a in arrays)
+    return ["t"] + [f"c{k}" for k in range(1, width)]
+
+
+def _reference_bytes(directory, header, ts, arrays) -> bytes:
+    prefix = str(directory / "ref")
+    reference_write_csv(prefix, header, reference_series_rows(ts, arrays))
+    return pathlib.Path(prefix + ".csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series())
+def test_table_writer_matches_the_per_cell_reference(tmp_path_factory, series):
+    ts, arrays = series
+    header = _header(arrays)
+    table = _table(ts, arrays)
+    assert table.dtype == np.float64 and table.shape == (ts.size, len(header))
+    expected = _reference_bytes(tmp_path_factory.mktemp("ref"), header, ts, arrays)
+    assert _csv_text(header, table).encode() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(), st.data())
+def test_table_writer_rejects_and_locates_non_finite_values(tmp_path_factory, series, data):
+    ts, arrays = series
+    if ts.size == 0:
+        ts, arrays = np.zeros(1), [np.zeros(1, dtype=np.complex128)]
+    target = data.draw(st.integers(-1, len(arrays) - 1))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if target < 0:
+        ts = ts.copy()
+        ts[data.draw(st.integers(0, ts.size - 1))] = bad
+    else:
+        arr = arrays[target] = arrays[target].copy()
+        flat = arr.reshape(-1)
+        k = data.draw(st.integers(0, flat.size - 1))
+        part = flat.imag if np.iscomplexobj(arr) and data.draw(st.booleans()) else flat.real
+        part[k] = bad
+    header = _header(arrays)
+    with pytest.raises(NumericalError):
+        _reference_bytes(tmp_path_factory.mktemp("ref"), header, ts, arrays)
+    rows = reference_series_rows(ts, arrays)
+    # the first non-finite cell in row order, where the per-cell writer stopped
+    i, j = next(
+        (i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if not math.isfinite(x)
+    )
+    with pytest.raises(NumericalError) as info:
+        _csv_text(header, _table(ts, arrays))
+    assert str(info.value) == (
+        f'non-finite value in output column "{header[j]}" at t={float(rows[i][0])!r}'
+    )
