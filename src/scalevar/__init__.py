@@ -69,6 +69,7 @@ from .varcalc import (
     evaluate_functional,
     functional_integrand,
     invariance_derivative,
+    invariance_integrand,
     invariance_integrand_integral,
     noether_constant,
 )

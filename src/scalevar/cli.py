@@ -9,7 +9,6 @@ a header, a float64 table and a summary; both texts are rendered and checked
 for finiteness before either file is written, so a failed run writes neither.
 CSV numbers are repr() of the floats.  Files are written atomically (temp
 file, then rename) and are byte-identical across runs of the same config.
-SCALEVAR_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import tempfile
 import numpy as np
 
 from .errors import NumericalError, ScaleVarError, ValidationError
-from .funcspace import Path, estimate_holder, make_grid, oscillation_profile, weierstrass
+from .funcspace import Path, estimate_holder, make_grid, weierstrass
 from .lagdsl import Bindings, evaluate, parse
-from .scaleops import ScaleParams, parse_mu, scale_derivative_path
+from .scaleops import ScaleParams, parse_mu, scale_derivative_path, trapezoid
 from .schrodinger import (
     SchrodingerProblem,
     energy_constant,
@@ -37,17 +36,15 @@ from .schrodinger import (
 from .varcalc import (
     LagrangianSpec,
     SymmetrySpec,
-    _invariance_integrand,
-    evaluate_functional,
-    functional_integrand,
     dubois_reymond_residual,
     euler_lagrange_residual,
+    functional_integrand,
     invariance_derivative,
-    invariance_integrand_integral,
+    invariance_integrand,
     noether_constant,
 )
 
-__all__ = ["run", "main", "max_threads", "COMMANDS"]
+__all__ = ["run", "main", "COMMANDS"]
 
 COMMANDS = (
     "deriv",
@@ -59,15 +56,6 @@ COMMANDS = (
     "schrodinger",
     "holder",
 )
-
-
-def max_threads() -> int:
-    """Internal parallelism cap from SCALEVAR_THREADS (default 1)."""
-    raw = os.environ.get("SCALEVAR_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +333,8 @@ def _cmd_functional(cfg):
     params = _config_params(cfg)
     p = _config_path(cfg, grid, params)
     Lg = _config_lagrangian(cfg, params, p.dim)
-    ts, integrand, _ = functional_integrand(Lg, p, sp)
-    value = evaluate_functional(Lg, p, sp)
+    ts, integrand, h = functional_integrand(Lg, p, sp)
+    value = complex(trapezoid(integrand, h))
     header = ["t", "re_1", "im_1"]
     summary = {
         "command": "functional",
@@ -384,8 +372,8 @@ def _cmd_invariance(cfg):
     Lg = _config_lagrangian(cfg, params, p.dim)
     sym = _config_symmetry(cfg, params, p.dim)
     derivative = invariance_derivative(Lg, p, sym, sp)
-    integral = invariance_integrand_integral(Lg, p, sym, sp)
-    ts, integrand, _ = _invariance_integrand(Lg, p, sym, sp)
+    ts, integrand, h = invariance_integrand(Lg, p, sym, sp)
+    integral = complex(trapezoid(integrand, h))
     header = ["t", "re_1", "im_1"]
     summary = {
         "command": "invariance",
@@ -479,7 +467,13 @@ def _cmd_holder(cfg):
     _config_scale(cfg, None)  # schema completeness; the estimator itself is scale-free
     params = _config_params(cfg)
     deltas = _field(cfg, "problem.deltas", list, what="a list of decreasing deltas")
-    sample_count = _field(cfg, "problem.sample_count", int, what="an integer >= 2")
+    sample_count = _field(
+        cfg,
+        "problem.sample_count",
+        int,
+        check=lambda n: not isinstance(n, bool) and n >= 2,
+        what="an integer >= 2",
+    )
     source = _walk(cfg, "problem.weierstrass", default=None)
     meta_alpha = None
     if source is not None:
@@ -497,12 +491,12 @@ def _cmd_holder(cfg):
         deltas_f = [float(d) for d in deltas]
     except (TypeError, ValueError):
         raise ValidationError('invalid field "problem.deltas": expected numbers') from None
-    workers = max_threads()
-    interval = (grid.a, grid.b)
-    profile = oscillation_profile(p, deltas_f, sample_count, interval=interval, max_workers=workers)
-    estimate = estimate_holder(p, deltas_f, sample_count, interval=interval, max_workers=workers)
+    try:
+        estimate = estimate_holder(p, deltas_f, sample_count, interval=(grid.a, grid.b))
+    except ValidationError as err:
+        raise ValidationError(f'invalid field "problem.deltas": {err}') from err
     header = ["delta", "m_max"]
-    table = np.column_stack([deltas_f, profile])
+    table = np.column_stack([deltas_f, estimate.profile])
     summary = {
         "command": "holder",
         "alpha": estimate.alpha,

@@ -14,7 +14,6 @@ fabricating boundary values.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,11 +225,21 @@ class Path:
 
 
 def sample(p: Path, grid: TimeGrid) -> Path:
-    """Sample an analytic path at every node of grid (padding included)."""
+    """Sample a path at every node of grid (padding included).
+
+    An analytic path is evaluated at the nodes.  A sampled path is only
+    restricted, never interpolated: grid must have the same (a, b, n) and at
+    most the path's padding, and the result holds the path's own samples on
+    those nodes.  Any other grid is a GridError.
+    """
     if p.is_sampled:
-        if p.grid == grid:
+        g = p.grid
+        off = g.pad_steps - grid.pad_steps
+        if off < 0 or (g.a, g.b, g.n) != (grid.a, grid.b, grid.n):
+            raise GridError("resampling a sampled path onto a different grid is not supported")
+        if off == 0:
             return p
-        raise GridError("resampling a sampled path onto a different grid is not supported")
+        return Path.from_samples(grid, p.values[off : off + grid.num_nodes], label=p.label, meta=p.meta)
     vals = p.at_many(grid.nodes())
     return Path.from_samples(grid, vals, label=p.label, meta=p.meta)
 
@@ -298,11 +307,13 @@ def weierstrass(a_coef: float, b_base: float, trunc_tol: float) -> Path:
 
 @dataclass(frozen=True)
 class HolderEstimate:
-    """Oscillation-exponent fit: slope, RMS regression residual, delta range."""
+    """Oscillation-exponent fit: slope, RMS regression residual, delta range,
+    and the max-oscillation profile M(delta) the line was fitted to."""
 
     alpha: float
     fit_residual: float
     delta_range: tuple
+    profile: np.ndarray
 
 
 def _probe_interval(p: Path, interval):
@@ -319,7 +330,7 @@ def _probe_interval(p: Path, interval):
     return lo, hi
 
 
-def oscillation_profile(p: Path, deltas, sample_count: int, interval=None, max_workers=1):
+def oscillation_profile(p: Path, deltas, sample_count: int, interval=None):
     """Max oscillation M(delta) = max_t ||p(t+delta) - p(t)|| per requested delta.
 
     Probes sample_count equispaced times in [lo, hi - delta]; for sampled
@@ -351,13 +362,10 @@ def oscillation_profile(p: Path, deltas, sample_count: int, interval=None, max_w
             diff = p.at_many(ts + d) - p.at_many(ts)
         return float(np.max(np.linalg.norm(diff, axis=1)))
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return np.array(list(pool.map(oscillation, deltas)))
     return np.array([oscillation(d) for d in deltas])
 
 
-def estimate_holder(p: Path, deltas, sample_count: int, interval=None, max_workers=1) -> HolderEstimate:
+def estimate_holder(p: Path, deltas, sample_count: int, interval=None) -> HolderEstimate:
     """Roughness exponent from the slope of ln M(delta) against ln delta.
 
     M is the max-oscillation profile; a least-squares line through the log-log
@@ -367,7 +375,7 @@ def estimate_holder(p: Path, deltas, sample_count: int, interval=None, max_worke
     deltas = [float(d) for d in deltas]
     if len(deltas) < 3:
         raise ValidationError(f"need at least 3 deltas, got {len(deltas)}")
-    profile = oscillation_profile(p, deltas, sample_count, interval, max_workers)
+    profile = oscillation_profile(p, deltas, sample_count, interval)
     if np.min(profile) <= 0.0:
         raise NumericalError("degenerate oscillation: max |p(t+delta) - p(t)| vanished")
     logd = np.log(deltas)
@@ -378,6 +386,7 @@ def estimate_holder(p: Path, deltas, sample_count: int, interval=None, max_worke
         alpha=float(slope),
         fit_residual=float(np.sqrt(np.mean(resid**2))),
         delta_range=(deltas[-1], deltas[0]),
+        profile=profile,
     )
 
 

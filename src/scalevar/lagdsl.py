@@ -58,6 +58,7 @@ __all__ = [
     "diff",
     "format_expr",
     "free_variables",
+    "references_velocity",
     "add",
     "sub",
     "mul",
@@ -155,6 +156,11 @@ def free_variables(e: Expr) -> set:
             names.add(node.name)
         stack.extend(_children(node))
     return names
+
+
+def references_velocity(e: Expr) -> bool:
+    """True when e uses a velocity variable v1..vd."""
+    return any(n.startswith("v") and _VAR_RE.match(n) for n in free_variables(e))
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +728,7 @@ class ScalarField:
     def __init__(self, expr: Expr, dim: int, params=None):
         self.params = dict(params or {})
         self.dim = int(dim)
-        names = free_variables(expr)
-        if any(name.startswith("v") and _VAR_RE.match(name) for name in names):
+        if references_velocity(expr):
             raise ValidationError("scalar fields may not reference velocity variables")
         self.expr = expr
         self.expr_t = diff(expr, "t")

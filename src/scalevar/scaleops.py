@@ -262,12 +262,12 @@ def composite_scale_derivative(field, p: Path, sp: ScaleParams, t: float) -> com
     if hessian_fn is None:
         raise ValidationError("field does not supply a Hessian")
     q = p.at(t)
-    v = scale_derivative(p, sp, t)
+    dplus = delta(p, sp.epsilon, +1, t)
+    dminus = delta(p, sp.epsilon, -1, t)
+    v = _combine(dplus, dminus, sp.mu)
     hess = np.asarray(hessian_fn(t, q), dtype=np.complex128)
     if hess.shape != (p.dim, p.dim):
         raise ValidationError(f"Hessian has shape {hess.shape}, expected ({p.dim}, {p.dim})")
-    dplus = delta(p, sp.epsilon, +1, t)
-    dminus = delta(p, sp.epsilon, -1, t)
     cp = 1.0 + 1j * sp.mu
     cm = 1.0 - 1j * sp.mu
     a = (sp.epsilon / 2.0) * (np.outer(dplus, dplus) * cp - np.outer(dminus, dminus) * cm)

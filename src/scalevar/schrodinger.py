@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .funcspace import Path, TimeGrid
-from .lagdsl import Bindings, compile, diff, evaluate, free_variables, parse
+from .funcspace import Path, TimeGrid, sample
+from .lagdsl import Bindings, compile, diff, evaluate, free_variables, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path
-from .varcalc import NoetherReport, ResidualReport, _noether_report, _residual_report, _restrict
+from .varcalc import NoetherReport, ResidualReport
 
 __all__ = [
     "SchrodingerProblem",
@@ -69,7 +69,7 @@ class SchrodingerProblem:
         self.psi = parse(psi, self.dim, names) if isinstance(psi, str) else psi
         self.potential = parse(potential, self.dim, names) if isinstance(potential, str) else potential
         for expr, label in ((self.psi, "psi"), (self.potential, "potential")):
-            if any(n.startswith("v") and n[1:].isdigit() for n in free_variables(expr)):
+            if references_velocity(expr):
                 raise ValidationError(f"{label} may not reference velocity variables")
         if "t" in free_variables(self.potential):
             raise ValidationError("the potential must depend on positions only")
@@ -146,7 +146,7 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         - evaluate(prob.potential, b) * psi
     )
     res = np.broadcast_to(np.asarray(res, dtype=np.complex128), ts.shape)
-    return _residual_report(ts, np.array(res), 1.0 / ts.size)
+    return ResidualReport.from_samples(ts, np.array(res), 1.0 / ts.size)
 
 
 def _log_gradient_sum(prob: SchrodingerProblem, t, q):
@@ -220,7 +220,7 @@ def energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: ScaleParams)
     g1 = v_path.grid
     core = g1.core
     ts = g1.nodes()[core]
-    qv = _restrict(p, g1)[core]
+    qv = sample(p, g1).values[core]
     vv = v_path.values[core]
     b = prob._bind(ts, tuple(qv.T))
     potential = np.broadcast_to(
@@ -232,8 +232,8 @@ def energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: ScaleParams)
     variant = 2.0 * prob.m * (prob.gamma * grad_sum) ** 2 + potential
     variant = np.broadcast_to(np.asarray(variant, dtype=np.complex128), ts.shape)
     return EnergyReport(
-        theorem=_noether_report(ts, np.array(theorem)),
-        variant=_noether_report(ts, np.array(variant)),
+        theorem=NoetherReport.from_samples(ts, np.array(theorem)),
+        variant=NoetherReport.from_samples(ts, np.array(variant)),
     )
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, NumericalError, ValidationError
-from .funcspace import Path, TimeGrid
-from .lagdsl import Bindings, diff, evaluate, free_variables, parse, _VAR_RE
+from .funcspace import Path, TimeGrid, sample
+from .lagdsl import Bindings, diff, evaluate, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path, trapezoid
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "euler_lagrange_residual",
     "dubois_reymond_residual",
     "invariance_derivative",
+    "invariance_integrand",
     "invariance_integrand_integral",
     "noether_constant",
 ]
@@ -84,9 +85,8 @@ class SymmetrySpec:
             raise ValidationError(f"s_step must lie in (0, 0.1], got {self.s_step}")
         if len(self.xi) != self.dim:
             raise ValidationError(f"xi needs {self.dim} components, got {len(self.xi)}")
-        for e in (self.tau, *self.xi):
-            if any(n.startswith("v") and _VAR_RE.match(n) for n in free_variables(e)):
-                raise ValidationError("symmetry generators may not reference velocity variables")
+        if any(references_velocity(e) for e in (self.tau, *self.xi)):
+            raise ValidationError("symmetry generators may not reference velocity variables")
 
     @classmethod
     def from_text(cls, tau_text: str, xi_texts, dim: int = 1, params=None, s_step: float = 1e-4):
@@ -111,16 +111,16 @@ class ResidualReport:
     max_abs: float
     l2: float
 
-
-def _residual_report(ts: np.ndarray, res: np.ndarray, weight: float) -> ResidualReport:
-    res = np.asarray(res, dtype=np.complex128)
-    mags = np.abs(res)
-    return ResidualReport(
-        node_times=np.asarray(ts, dtype=float),
-        residuals=res,
-        max_abs=float(mags.max()),
-        l2=float(math.sqrt(weight * float((mags**2).sum()))),
-    )
+    @classmethod
+    def from_samples(cls, ts, res, weight: float) -> "ResidualReport":
+        res = np.asarray(res, dtype=np.complex128)
+        mags = np.abs(res)
+        return cls(
+            node_times=np.asarray(ts, dtype=float),
+            residuals=res,
+            max_abs=float(mags.max()),
+            l2=float(math.sqrt(weight * float((mags**2).sum()))),
+        )
 
 
 @dataclass(frozen=True)
@@ -136,38 +136,60 @@ class NoetherReport:
     mean: complex
     drift: float
 
-
-def _noether_report(ts: np.ndarray, samples: np.ndarray) -> NoetherReport:
-    samples = np.asarray(samples, dtype=np.complex128)
-    mean = complex(samples.mean())
-    drift = float(np.max(np.abs(samples - mean)) / max(1.0, abs(mean)))
-    return NoetherReport(np.asarray(ts, dtype=float), samples, mean, drift)
+    @classmethod
+    def from_samples(cls, ts, samples) -> "NoetherReport":
+        samples = np.asarray(samples, dtype=np.complex128)
+        mean = complex(samples.mean())
+        drift = float(np.max(np.abs(samples - mean)) / max(1.0, abs(mean)))
+        return cls(np.asarray(ts, dtype=float), samples, mean, drift)
 
 
 # ---------------------------------------------------------------------------
-# Shared plumbing
+# Path state
 
 
-def _sampled_grid(p: Path) -> TimeGrid:
+@dataclass(frozen=True)
+class _PathState:
+    """box q on the eps-shrunk grid, with the node times and q on that grid."""
+
+    grid: TimeGrid
+    ts: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+
+    def core(self):
+        """(ts, q, v) on the core window [a, b]."""
+        core = self.grid.core
+        return self.ts[core], self.q[core], self.v[core]
+
+
+def _check_dim(what: str, dim: int, p: Path) -> None:
+    if dim != p.dim:
+        raise ValidationError(f"dimension mismatch: {what} has d={dim}, path has d={p.dim}")
+
+
+def _path_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams, sym=None, outer=None) -> _PathState:
+    """Check p against the specs and take its scale derivative once.
+
+    outer names the quantity a report differentiates a second time; the input
+    then needs pad >= 2*eps, checked before the first derivative is taken.
+    """
     if not p.is_sampled:
         raise ValidationError(
             "variational checks need a sampled path; use funcspace.sample(path, grid)"
         )
-    return p.grid
-
-
-def _check_dim(spec_dim: int, p: Path) -> None:
-    if spec_dim != p.dim:
-        raise ValidationError(f"dimension mismatch: spec has d={spec_dim}, path has d={p.dim}")
-
-
-def _restrict(p: Path, target: TimeGrid) -> np.ndarray:
-    """Samples of p on the node set of a narrower grid with the same core."""
+    _check_dim("spec", Lg.dim, p)
+    if sym is not None:
+        _check_dim("symmetry", sym.dim, p)
     g = p.grid
-    off = g.pad_steps - target.pad_steps
-    if off < 0 or (g.a, g.b, g.n) != (target.a, target.b, target.n):
-        raise GridError("incompatible grids")
-    return p.values[off : off + target.num_nodes]
+    if outer is not None and g.pad_steps < 2 * g.steps_of(sp.epsilon):
+        raise GridError(
+            f"padding {g.pad!r} is smaller than 2*epsilon={2 * sp.epsilon!r} "
+            f"(the outer derivative of the {outer} consumes one stencil per side)"
+        )
+    v_path = scale_derivative_path(p, sp)
+    g1 = v_path.grid
+    return _PathState(g1, g1.nodes(), sample(p, g1).values, v_path.values)
 
 
 def _eval_samples(expr, params, ts, qvals, vvals=None) -> np.ndarray:
@@ -183,27 +205,14 @@ def _eval_samples(expr, params, ts, qvals, vvals=None) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(out, dtype=np.complex128), (n,)))
 
 
-def _core_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams):
-    """Times, positions and velocities on the core window [a, b]."""
-    v_path = scale_derivative_path(p, sp)
-    g1 = v_path.grid
-    core = g1.core
-    ts = g1.nodes()[core]
-    qv = _restrict(p, g1)[core]
-    vv = v_path.values[core]
-    return g1, ts, qv, vv
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
 
 def functional_integrand(Lg: LagrangianSpec, p: Path, sp: ScaleParams):
     """Per-node samples of L(t, q, box q) on the core window [a, b]."""
-    g = _sampled_grid(p)
-    _check_dim(Lg.dim, p)
-    _, ts, qv, vv = _core_state(Lg, p, sp)
-    return ts, _eval_samples(Lg.L, Lg.params, ts, qv, vv), g.h
+    ts, qv, vv = _path_state(Lg, p, sp).core()
+    return ts, _eval_samples(Lg.L, Lg.params, ts, qv, vv), p.grid.h
 
 
 def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex:
@@ -212,27 +221,22 @@ def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex
     return complex(trapezoid(integrand, h))
 
 
-def _boxed_samples_report(p: Path, sp: ScaleParams, inner: np.ndarray, rhs_fn):
-    """Apply an outer scale derivative to per-node samples and report the
-    residual box(inner) - rhs on the window [a + eps, b - eps]."""
-    g = p.grid
-    m = g.steps_of(sp.epsilon)
-    v_path = scale_derivative_path(p, sp)
-    g1 = v_path.grid
-    inner_path = Path.from_samples(g1, inner)
-    outer = scale_derivative_path(inner_path, sp)
+def _boxed_samples(st: _PathState, sp: ScaleParams, inner: np.ndarray, rhs_fn):
+    """Apply an outer scale derivative to per-node samples on the state's grid;
+    return the node times and box(inner) - rhs on the window [a + eps, b - eps]."""
+    outer = scale_derivative_path(Path.from_samples(st.grid, inner), sp)
     g2 = outer.grid
+    m = st.grid.pad_steps - g2.pad_steps
+    inside = slice(m, st.grid.num_nodes - m)
     ts2 = g2.nodes()
-    qv2 = _restrict(p, g2)
-    vv2 = _restrict(v_path, g2)
-    res = outer.values - rhs_fn(ts2, qv2, vv2)
+    res = outer.values - rhs_fn(ts2, st.q[inside], st.v[inside])
     if g2.n <= 2 * m:
         raise GridError("grid too coarse: the window [a+eps, b-eps] is empty")
     w = slice(g2.pad_steps + m, g2.pad_steps + g2.n - m + 1)
     res_w = res[w]
     if res_w.shape[1] == 1:
         res_w = res_w[:, 0]
-    return _residual_report(ts2[w], res_w, g.h)
+    return ts2[w], res_w
 
 
 def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> ResidualReport:
@@ -241,21 +245,9 @@ def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     The momentum dL/dv is sampled along the path and differentiated as a
     path itself, so the input needs pad >= 2*eps.
     """
-    g = _sampled_grid(p)
-    _check_dim(Lg.dim, p)
-    m = g.steps_of(sp.epsilon)
-    if g.pad_steps < 2 * m:
-        raise GridError(
-            f"padding {g.pad!r} is smaller than 2*epsilon={2 * sp.epsilon!r} "
-            "(the outer derivative of the momentum consumes one stencil per side)"
-        )
-    v_path = scale_derivative_path(p, sp)
-    g1 = v_path.grid
-    ts1 = g1.nodes()
-    qv1 = _restrict(p, g1)
-    vv1 = v_path.values
+    st = _path_state(Lg, p, sp, outer="momentum")
     momentum = np.stack(
-        [_eval_samples(Lg.grad_v[k], Lg.params, ts1, qv1, vv1) for k in range(Lg.dim)], axis=1
+        [_eval_samples(Lg.grad_v[k], Lg.params, st.ts, st.q, st.v) for k in range(Lg.dim)], axis=1
     )
 
     def rhs(ts, qv, vv):
@@ -263,58 +255,47 @@ def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
             [_eval_samples(Lg.grad_q[k], Lg.params, ts, qv, vv) for k in range(Lg.dim)], axis=1
         )
 
-    # _boxed_samples_report yields box(momentum) - dL/dq; flip to dL/dq - box(momentum)
-    report = _boxed_samples_report(p, sp, momentum, rhs)
-    return _residual_report(report.node_times, -report.residuals, g.h)
+    # negate box(momentum) - dL/dq rather than subtract the other way: the
+    # signs of zeros (-0.0 in the CSV) stay as they are
+    ts, res = _boxed_samples(st, sp, momentum, rhs)
+    return ResidualReport.from_samples(ts, -res, p.grid.h)
 
 
 def dubois_reymond_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> ResidualReport:
     """Residual of the energy balance  box(L - dL/dv . v) - dL/dt = 0."""
-    g = _sampled_grid(p)
-    _check_dim(Lg.dim, p)
-    m = g.steps_of(sp.epsilon)
-    if g.pad_steps < 2 * m:
-        raise GridError(
-            f"padding {g.pad!r} is smaller than 2*epsilon={2 * sp.epsilon!r} "
-            "(the outer derivative of the energy consumes one stencil per side)"
-        )
-    v_path = scale_derivative_path(p, sp)
-    g1 = v_path.grid
-    ts1 = g1.nodes()
-    qv1 = _restrict(p, g1)
-    vv1 = v_path.values
-    lvals = _eval_samples(Lg.L, Lg.params, ts1, qv1, vv1)
+    st = _path_state(Lg, p, sp, outer="energy")
+    lvals = _eval_samples(Lg.L, Lg.params, st.ts, st.q, st.v)
     momentum_dot_v = np.zeros_like(lvals)
     for k in range(Lg.dim):
-        momentum_dot_v += _eval_samples(Lg.grad_v[k], Lg.params, ts1, qv1, vv1) * vv1[:, k]
+        momentum_dot_v += _eval_samples(Lg.grad_v[k], Lg.params, st.ts, st.q, st.v) * st.v[:, k]
     energy = lvals - momentum_dot_v
 
     def rhs(ts, qv, vv):
         return _eval_samples(Lg.dL_dt, Lg.params, ts, qv, vv)[:, None]
 
-    return _boxed_samples_report(p, sp, energy[:, None], rhs)
+    ts, res = _boxed_samples(st, sp, energy[:, None], rhs)
+    return ResidualReport.from_samples(ts, res, p.grid.h)
 
 
-def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams):
-    """Core-window samples of tau, xi and their scale derivatives along the path."""
-    g = _sampled_grid(p)
-    _check_dim(Lg.dim, p)
-    if sym.dim != p.dim:
-        raise ValidationError(f"dimension mismatch: symmetry has d={sym.dim}, path has d={p.dim}")
+def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams, boxed: bool):
+    """Core-window samples of the path state and of tau and xi along the path,
+    with box tau and box xi when boxed."""
+    st = _path_state(Lg, p, sp, sym=sym)
+    g = p.grid
     ts_all = g.nodes()
-    qv_all = p.values
-    tau_all = _eval_samples(sym.tau, sym.params, ts_all, qv_all)
+    tau_all = _eval_samples(sym.tau, sym.params, ts_all, p.values)
     xi_all = np.stack(
-        [_eval_samples(x, sym.params, ts_all, qv_all) for x in sym.xi], axis=1
+        [_eval_samples(x, sym.params, ts_all, p.values) for x in sym.xi], axis=1
     )
-    g1, ts, qv, vv = _core_state(Lg, p, sp)
-    m = g.pad_steps - g1.pad_steps
-    core = g1.core
+    m = g.pad_steps - st.grid.pad_steps
+    core = st.grid.core
     tau = tau_all[m:-m][core]
     xi = xi_all[m:-m][core]
+    if not boxed:
+        return (*st.core(), tau, xi, None, None)
     dtau = scale_derivative_path(Path.from_samples(g, tau_all), sp).values[:, 0][core]
     dxi = scale_derivative_path(Path.from_samples(g, xi_all), sp).values[core]
-    return g, ts, qv, vv, tau, xi, dtau, dxi
+    return (*st.core(), tau, xi, dtau, dxi)
 
 
 def invariance_derivative(
@@ -327,7 +308,7 @@ def invariance_derivative(
     box tau and box xi are scale derivatives of the generators composed with
     the path, consistent with the operator semantics used everywhere else.
     """
-    g, ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp)
+    ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp, boxed=True)
 
     def action(s: float) -> complex:
         den = 1.0 + s * dtau
@@ -344,16 +325,16 @@ def invariance_derivative(
         integrand = np.broadcast_to(
             np.asarray(evaluate(Lg.L, b), dtype=np.complex128), ts.shape
         ) * den
-        return complex(trapezoid(integrand, g.h))
+        return complex(trapezoid(integrand, p.grid.h))
 
     s = sym.s_step
     return (action(+s) - action(-s)) / (2.0 * s)
 
 
-def _invariance_integrand(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams):
+def invariance_integrand(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams):
     """First-order invariance integrand sampled on the core window:
     dL/dt tau + dL/dq . xi + dL/dv . (box xi - v box tau) + L box tau."""
-    g, ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp)
+    ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp, boxed=True)
     lvals = _eval_samples(Lg.L, Lg.params, ts, qv, vv)
     out = _eval_samples(Lg.dL_dt, Lg.params, ts, qv, vv) * tau + lvals * dtau
     for k in range(Lg.dim):
@@ -361,7 +342,7 @@ def _invariance_integrand(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: Sc
         out += _eval_samples(Lg.grad_v[k], Lg.params, ts, qv, vv) * (
             dxi[:, k] - vv[:, k] * dtau
         )
-    return ts, out, g.h
+    return ts, out, p.grid.h
 
 
 def invariance_integrand_integral(
@@ -372,7 +353,7 @@ def invariance_integrand_integral(
     Agrees with invariance_derivative to the group-parameter step squared;
     a nonzero value flags a generator the action is not invariant under.
     """
-    _, integrand, h = _invariance_integrand(Lg, p, sym, sp)
+    _, integrand, h = invariance_integrand(Lg, p, sym, sp)
     return complex(trapezoid(integrand, h))
 
 
@@ -384,10 +365,10 @@ def noether_constant(
     Sampled on the core window; the drift statistic measures constancy.  The
     momentum term carries xi, the energy term carries tau.
     """
-    g, ts, qv, vv, tau, xi, _, _ = _generator_state(Lg, p, sym, sp)
+    ts, qv, vv, tau, xi, _, _ = _generator_state(Lg, p, sym, sp, boxed=False)
     lvals = _eval_samples(Lg.L, Lg.params, ts, qv, vv)
     momentum = np.stack(
         [_eval_samples(Lg.grad_v[k], Lg.params, ts, qv, vv) for k in range(Lg.dim)], axis=1
     )
     samples = (momentum * xi).sum(axis=1) + (lvals - (momentum * vv).sum(axis=1)) * tau
-    return _noether_report(ts, samples)
+    return NoetherReport.from_samples(ts, samples)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_series_rows, reference_write_csv
 from scalevar import NumericalError
-from scalevar.cli import _csv_text, _table, max_threads, run
+from scalevar.cli import _csv_text, _table, run
 from scalevar.lagdsl import MAX_DEPTH
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -162,17 +162,23 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SCALEVAR_THREADS", "4")
-    assert max_threads() == 4
-    code, csv_path, _ = _run(tmp_path / "mt", CONFIG_DIR / "holder_weierstrass.json")
-    assert code == 0
-    multi = csv_path.read_bytes()
-    monkeypatch.setenv("SCALEVAR_THREADS", "junk")
-    assert max_threads() == 1
-    code, csv_path, _ = _run(tmp_path / "st", CONFIG_DIR / "holder_weierstrass.json")
-    assert code == 0
-    assert csv_path.read_bytes() == multi
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("problem.deltas=[0.1,0.2,0.05]", "problem.deltas"),
+        ("problem.deltas=[0.1,-0.05]", "problem.deltas"),
+        ("problem.deltas=[1.5,1.2,1.1]", "problem.deltas"),
+        ("problem.sample_count=1", "problem.sample_count"),
+        ("problem.sample_count=true", "problem.sample_count"),
+    ],
+)
+def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field):
+    code, csv_path, _ = _run(tmp_path, CONFIG_DIR / "holder_weierstrass.json", override)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f'invalid field "{field}"' in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
 
 
 def test_holder_summary_reports_theory_alpha(tmp_path):

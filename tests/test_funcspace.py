@@ -118,6 +118,19 @@ def test_sample_respects_padding():
     assert p.at(-0.2)[0] == pytest.approx(-0.6)
 
 
+def test_sample_restricts_a_sampled_path():
+    g = make_grid(0.0, 1.0, 10, 0.3)
+    p = Path.from_samples(g, np.arange(g.num_nodes) + 0.5j)
+    assert sample(p, g) is p
+    narrow = g.with_pad_steps(1)
+    q = sample(p, narrow)
+    assert q.grid == narrow
+    assert np.array_equal(q.values, p.values[2:-2])
+    for other in (g.with_pad_steps(4), make_grid(0.0, 1.0, 20, 0.1), make_grid(0.0, 2.0, 10, 0.2)):
+        with pytest.raises(GridError):
+            sample(p, other)
+
+
 # ---------------------------------------------------------------------------
 # weierstrass generator
 

@@ -28,6 +28,7 @@ from scalevar.lagdsl import (
     free_variables,
     mul,
     parse,
+    references_velocity,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -323,8 +324,15 @@ def test_scalar_field_gradient_and_hessian():
 
 
 def test_scalar_field_rejects_velocities():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^scalar fields may not reference velocity variables$"):
         ScalarField.from_text("v1^2", 1)
+
+
+def test_references_velocity():
+    assert references_velocity(parse("q1 + t*v2", 2))
+    assert references_velocity(parse("v10", 10))
+    assert not references_velocity(parse("q1*v - t", 1, ("v",)))
+    assert not references_velocity(parse("vq1 + 2", 1, ("vq1",)))
 
 
 # ---------------------------------------------------------------------------

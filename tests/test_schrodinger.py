@@ -246,7 +246,7 @@ def test_problem_validation():
         SchrodingerProblem("exp(q1)", "q1", 1.0, -1.0)
     with pytest.raises(ValidationError):
         SchrodingerProblem("exp(q1)", "t*q1", 1.0, 1.0)  # potential must be spatial
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^psi may not reference velocity variables$"):
         SchrodingerProblem("v1*q1", "q1", 1.0, 1.0)
     prob = SchrodingerProblem("exp(q1)", "q1", 2.0, 4.0)
     assert prob.gamma == 0.25

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scalevar import (
     GridError,
@@ -9,17 +12,34 @@ from scalevar import (
     NumericalError,
     Path,
     ScaleParams,
+    SchrodingerProblem,
     SymmetrySpec,
+    Trajectory,
     ValidationError,
     dubois_reymond_residual,
+    energy_constant,
     euler_lagrange_residual,
     evaluate_functional,
+    functional_integrand,
     invariance_derivative,
+    invariance_integrand,
     invariance_integrand_integral,
     make_grid,
     noether_constant,
 )
-from conftest import sampled
+from conftest import (
+    dyadic_complex,
+    reference_dubois_reymond_residual,
+    reference_energy_constant,
+    reference_euler_lagrange_residual,
+    reference_functional_integrand,
+    reference_invariance_derivative,
+    reference_invariance_integrand,
+    reference_invariance_integrand_integral,
+    reference_noether_constant,
+    same_bits,
+    sampled,
+)
 
 FREE = LagrangianSpec.from_text("0.5*v1^2")
 OSC = LagrangianSpec.from_text("0.5*v1^2 - 0.5*q1^2")
@@ -290,7 +310,7 @@ def test_classical_reduction_oscillator():
 
 
 def test_symmetry_spec_rejects_velocities():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^symmetry generators may not reference velocity variables$"):
         SymmetrySpec.from_text("v1", "0")
     with pytest.raises(ValidationError):
         SymmetrySpec.from_text("1", "v1")
@@ -322,3 +342,77 @@ def test_two_dimensional_paths_supported():
     sym = SymmetrySpec.from_text("1", ["0", "0"], dim=2)
     out = noether_constant(Lg, p, sym, sp)
     assert np.isfinite(out.drift)
+
+
+# ---------------------------------------------------------------------------
+# bitwise agreement with the reference reports
+
+
+def _sum_over(d, term):
+    return " + ".join(term(k) for k in range(1, d + 1))
+
+
+# Lagrangians, symmetry generators and wavefunctions over d components
+LAGRANGIANS = (
+    lambda d: "0.5*(" + _sum_over(d, lambda k: f"v{k}^2") + ") - 0.5*q1^2",
+    lambda d: f"t*q1*v{d} + sin(q{d}) - 0.25*v1*q1",
+    lambda d: "exp(0.125*q1)*(" + _sum_over(d, lambda k: f"v{k}*q{k}") + ") + cos(t)",
+)
+GENERATORS = (("1", lambda k: "0"), ("0", lambda k: "1"), ("t", lambda k: f"0.5*q{k}"))
+
+
+def same_result(x, y) -> bool:
+    """Bitwise identity of reports (field by field), tuples and plain values."""
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            same_result(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
+        )
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(same_result, x, y))
+    return same_bits(x, y)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    mu=st.sampled_from(["1", "-1", "0", "i", "-i"]),
+    steps=st.integers(1, 3),
+    extra_pad=st.integers(0, 2),
+    n=st.integers(8, 24),
+    lagrangian=st.sampled_from(LAGRANGIANS),
+    generator=st.sampled_from(GENERATORS),
+)
+def test_reports_match_reference_bitwise(seed, dim, mu, steps, extra_pad, n, lagrangian, generator):
+    h = 2.0**-6
+    pad_steps = 2 * steps + extra_pad
+    grid = make_grid(0.0, n * h, n, pad_steps * h)
+    rng = np.random.default_rng(seed)
+    p = Path.from_samples(grid, dyadic_complex(rng, (grid.num_nodes, dim)))
+    sp = ScaleParams(steps * h, mu)
+    Lg = LagrangianSpec.from_text(lagrangian(dim), dim=dim)
+    tau, xi = generator
+    sym = SymmetrySpec.from_text(tau, [xi(k) for k in range(1, dim + 1)], dim=dim)
+    pairs = [
+        (euler_lagrange_residual, reference_euler_lagrange_residual, (Lg, p, sp)),
+        (dubois_reymond_residual, reference_dubois_reymond_residual, (Lg, p, sp)),
+        (functional_integrand, reference_functional_integrand, (Lg, p, sp)),
+        (invariance_integrand, reference_invariance_integrand, (Lg, p, sym, sp)),
+        (invariance_integrand_integral, reference_invariance_integrand_integral, (Lg, p, sym, sp)),
+        (invariance_derivative, reference_invariance_derivative, (Lg, p, sym, sp)),
+        (noether_constant, reference_noether_constant, (Lg, p, sym, sp)),
+    ]
+    for fn, ref, args in pairs:
+        assert same_result(fn(*args), ref(*args)), fn.__name__
+    psi = "exp(-0.25*(" + _sum_over(dim, lambda k: f"q{k}^2") + ") - 0.5*i*t)"
+    prob = SchrodingerProblem(psi, "0.5*q1^2", 1.0, 1.0, dim=dim)
+    traj = Trajectory(path=p, q0=p.values[pad_steps], grid=grid)
+    assert same_result(energy_constant(prob, traj, sp), reference_energy_constant(prob, traj, sp))
+
+
+def test_el_residual_keeps_negative_zeros():
+    # box(momentum) - dL/dq is +0.0 along a linear path; the residual is its
+    # negation, so every real and imaginary part is -0.0, as the CSV prints it
+    got = euler_lagrange_residual(FREE, _linear(), SP_DYADIC)
+    assert same_result(got, reference_euler_lagrange_residual(FREE, _linear(), SP_DYADIC))
+    assert np.signbit(got.residuals.real).all() and np.signbit(got.residuals.imag).all()
