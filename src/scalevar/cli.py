@@ -3,12 +3,14 @@ plus a JSON summary.
 
 Usage:  scalevar run <config.json> [--set key=value]...
 
-Exit codes: 0 success, 2 validation error (schema, expressions, grids),
-3 numerical failure (NaN, divergence, degenerate data).  Each command returns
-a header, a float64 table and a summary; both texts are rendered and checked
-for finiteness before either file is written, so a failed run writes neither.
-CSV numbers are repr() of the floats.  Files are written atomically (temp
-file, then rename) and are byte-identical across runs of the same config.
+Exit codes: 0 success, 2 validation error (schema, expressions, grids; the
+message names the field, and a grid or probe count over _MAX_NODES fails
+before any allocation), 3 numerical failure (NaN, divergence, degenerate
+data).  Each command returns a header, a float64 table and a summary; both
+texts are rendered and checked for finiteness before either file is written,
+so a failed run writes neither.  CSV numbers are repr() of the floats.  Files
+are written atomically (temp file, then rename), the CSV and summary as a
+pair, and are byte-identical across runs of the same config.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -35,6 +38,7 @@ from .schrodinger import (
 )
 from .varcalc import (
     LagrangianSpec,
+    ResidualReport,
     SymmetrySpec,
     dubois_reymond_residual,
     euler_lagrange_residual,
@@ -46,16 +50,8 @@ from .varcalc import (
 
 __all__ = ["run", "main", "COMMANDS"]
 
-COMMANDS = (
-    "deriv",
-    "functional",
-    "check-el",
-    "check-dbr",
-    "invariance",
-    "noether",
-    "schrodinger",
-    "holder",
-)
+# the most padded grid nodes, or holder probes per delta, a run may allocate
+_MAX_NODES = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +71,53 @@ def _walk(cfg: dict, dotted: str, default=_MISSING):
     return node
 
 
-def _field(cfg, dotted, types, default=_MISSING, check=None, what=""):
+@contextlib.contextmanager
+def _naming(field: str):
+    """Name field in a ValidationError raised inside the block."""
+    try:
+        yield
+    except ValidationError as err:
+        raise ValidationError(f'invalid field "{field}": {err}') from err
+
+
+def _field(cfg, dotted, types, default=_MISSING, what=""):
     value = _walk(cfg, dotted, default)
-    if value is default and default is not _MISSING:
-        return value
-    if types is not None and not isinstance(value, types):
+    if not isinstance(value, types):
         raise ValidationError(f'invalid field "{dotted}": expected {what or types}, got {value!r}')
-    if check is not None and not check(value):
-        raise ValidationError(f'invalid field "{dotted}": {what} (got {value!r})')
     return value
 
 
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (an int within the float range); bools are not."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _real(cfg, dotted, default=_MISSING):
-    value = _field(cfg, dotted, (int, float), default=default, what="a finite number")
-    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+    value = _walk(cfg, dotted, default)
+    if not _finite(value):
         raise ValidationError(f'invalid field "{dotted}": expected a finite number, got {value!r}')
     return float(value)
+
+
+def _count(cfg, dotted) -> int:
+    """An integer in [2, _MAX_NODES]; bools are not integers."""
+    value = _walk(cfg, dotted)
+    if isinstance(value, bool) or not isinstance(value, int) or not 2 <= value <= _MAX_NODES:
+        raise ValidationError(
+            f'invalid field "{dotted}": expected an integer in [2, {_MAX_NODES}], got {value!r}'
+        )
+    return value
+
+
+def _complex(field: str, value) -> complex:
+    """A finite number, or an [re, im] pair of them, as a complex."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(map(_finite, parts)):
+        raise ValidationError(
+            f'invalid field "{field}": expected a number or [re, im] pair, got {value!r}'
+        )
+    return complex(*parts)
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -126,12 +153,15 @@ def _load_config(config_path: str, overrides) -> dict:
 def _config_grid(cfg):
     a = _real(cfg, "grid.a")
     b = _real(cfg, "grid.b")
-    n = _field(cfg, "grid.n", int, what="an integer >= 2")
+    n = _count(cfg, "grid.n")
     pad = _real(cfg, "grid.pad")
-    try:
-        return make_grid(a, b, n, pad)
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "grid": {err}') from err
+    with _naming("grid"):
+        grid = make_grid(a, b, n, pad)
+        if grid.num_nodes > _MAX_NODES:
+            raise ValidationError(
+                f"{grid.num_nodes} padded nodes exceed the limit of {_MAX_NODES}"
+            )
+    return grid
 
 
 def _config_scale(cfg, grid=None, default_mu=None):
@@ -145,45 +175,18 @@ def _config_scale(cfg, grid=None, default_mu=None):
         raise ValidationError(
             f'invalid field "scale.mu": expected one of the strings "1", "-1", "0", "i", "-i", got {mu_raw!r}'
         )
-    try:
+    with _naming("scale.mu"):
         mu = parse_mu(mu_raw)
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "scale.mu": {err}') from err
-    if not epsilon > 0:
-        raise ValidationError(f'invalid field "scale.epsilon": must be positive, got {epsilon}')
-    if grid is not None:
-        try:
+    with _naming("scale.epsilon"):
+        sp = ScaleParams(epsilon, mu)
+        if grid is not None:
             grid.steps_of(epsilon)
-        except ValidationError as err:
-            raise ValidationError(f'invalid field "scale.epsilon": {err}') from err
-    return ScaleParams(epsilon, mu)
+    return sp
 
 
 def _config_params(cfg) -> dict:
     raw = _field(cfg, "problem.params", dict, default={}, what="an object")
-    params = {}
-    for name, value in raw.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            params[name] = complex(value)
-        elif (
-            isinstance(value, list)
-            and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-        ):
-            params[name] = complex(value[0], value[1])
-        else:
-            raise ValidationError(
-                f'invalid field "problem.params.{name}": expected a number or [re, im] pair'
-            )
-    return params
-
-
-def _parse_field_expr(cfg, dotted, dim, params):
-    text = _field(cfg, dotted, str, what="an expression string")
-    try:
-        return parse(text, dim, param_names=tuple(params))
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "{dotted}": {err}') from err
+    return {name: _complex(f"problem.params.{name}", value) for name, value in raw.items()}
 
 
 def _expr_list(cfg, dotted):
@@ -200,25 +203,26 @@ def _config_path(cfg, grid, params, dotted="problem.path") -> Path:
     texts = _expr_list(cfg, dotted)
     exprs = []
     for k, text in enumerate(texts):
-        try:
+        with _naming(dotted if isinstance(_walk(cfg, dotted), str) else f"{dotted}[{k}]"):
             exprs.append(parse(text, 0, param_names=tuple(params)))
-        except ValidationError as err:
-            field = dotted if isinstance(_walk(cfg, dotted), str) else f"{dotted}[{k}]"
-            raise ValidationError(f'invalid field "{field}": {err}') from err
     ts = grid.nodes()
-    cols = []
-    for expr in exprs:
-        out = evaluate(expr, Bindings(t=ts, q=(), v=(), params=params))
-        cols.append(np.array(np.broadcast_to(np.asarray(out, dtype=np.complex128), ts.shape)))
+    b = Bindings(t=ts, q=(), v=(), params=params)
+    cols = [np.broadcast_to(np.asarray(evaluate(e, b), dtype=np.complex128), ts.shape) for e in exprs]
     return Path.from_samples(grid, np.stack(cols, axis=1), label="config path")
+
+
+def _path_problem(cfg):
+    """The scale, params and sampled path that every path command starts from."""
+    grid = _config_grid(cfg)
+    sp = _config_scale(cfg, grid)
+    params = _config_params(cfg)
+    return sp, params, _config_path(cfg, grid, params)
 
 
 def _config_lagrangian(cfg, params, dim) -> LagrangianSpec:
     text = _field(cfg, "problem.L", str, what="an expression string")
-    try:
+    with _naming("problem.L"):
         return LagrangianSpec.from_text(text, dim=dim, params=params)
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "problem.L": {err}') from err
 
 
 def _config_symmetry(cfg, params, dim) -> SymmetrySpec:
@@ -227,10 +231,8 @@ def _config_symmetry(cfg, params, dim) -> SymmetrySpec:
     if len(xi) != dim:
         raise ValidationError(f'invalid field "problem.xi": expected {dim} components, got {len(xi)}')
     s_step = _real(cfg, "problem.s_step", default=1e-4)
-    try:
+    with _naming("problem.tau/problem.xi"):
         return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, s_step=s_step)
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "problem.tau/problem.xi": {err}') from err
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +245,8 @@ def _atomic_write(path: str, text: str) -> None:
     The temp name is unique, so concurrent runs sharing a prefix do not
     collide; the temp file is removed if anything fails before the rename.
     """
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    name = os.path.basename(path)
-    fd, tmp = tempfile.mkstemp(dir=parent or ".", prefix=name + ".", suffix=".tmp")
+    parent = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -259,6 +258,34 @@ def _atomic_write(path: str, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _write_pair(prefix: str, csv_text: str, summary_text: str) -> None:
+    """Write <prefix>.csv, then <prefix>.summary.json, so that the two change together.
+
+    Until the summary is in place, the previous CSV stays hard-linked in a
+    unique directory beside it.  If the summary cannot be written, that CSV
+    is put back, or the new CSV removed when there was none.
+    """
+    csv_path = prefix + ".csv"
+    parent = os.path.dirname(csv_path) or "."
+    os.makedirs(parent, exist_ok=True)
+    aside = tempfile.mkdtemp(dir=parent, prefix=os.path.basename(csv_path) + ".", suffix=".old")
+    old = os.path.join(aside, "csv")
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.link(csv_path, old)
+        _atomic_write(csv_path, csv_text)
+        try:
+            _atomic_write(prefix + ".summary.json", summary_text)
+        except BaseException:
+            if os.path.exists(old):
+                os.replace(old, csv_path)
+            else:
+                os.unlink(csv_path)
+            raise
+    finally:
+        shutil.rmtree(aside, ignore_errors=True)
 
 
 def _csv_text(header, table: np.ndarray) -> str:
@@ -281,13 +308,8 @@ def _summary_text(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
-def _complex_columns(prefix: str, dim: int):
-    if dim == 1:
-        return [f"{prefix}re_1", f"{prefix}im_1"]
-    cols = []
-    for k in range(1, dim + 1):
-        cols += [f"{prefix}re_{k}", f"{prefix}im_{k}"]
-    return cols
+def _complex_columns(dim: int):
+    return [f"{part}_{k}" for k in range(1, dim + 1) for part in ("re", "im")]
 
 
 def _table(ts, arrays) -> np.ndarray:
@@ -307,37 +329,33 @@ def _table(ts, arrays) -> np.ndarray:
 # Commands
 
 
+def _pointwise(report: ResidualReport):
+    """Output of per-node samples with their max |.| and h-weighted l2 norm."""
+    dim = 1 if report.residuals.ndim == 1 else report.residuals.shape[1]
+    header = ["t"] + _complex_columns(dim)
+    summary = {
+        "n_nodes": int(report.node_times.size),
+        "max_abs": report.max_abs,
+        "l2": report.l2,
+    }
+    return header, _table(report.node_times, [report.residuals]), summary
+
+
 def _cmd_deriv(cfg):
-    grid = _config_grid(cfg)
-    sp = _config_scale(cfg, grid)
-    params = _config_params(cfg)
-    p = _config_path(cfg, grid, params)
+    sp, _, p = _path_problem(cfg)
     dpath = scale_derivative_path(p, sp)
     core = dpath.grid.core
-    ts = dpath.grid.nodes()[core]
-    vals = dpath.values[core]
-    mags = np.abs(vals)
-    header = ["t"] + _complex_columns("", p.dim)
-    summary = {
-        "command": "deriv",
-        "n_nodes": int(ts.size),
-        "max_abs": float(mags.max()),
-        "l2": float(math.sqrt(grid.h * float((mags**2).sum()))),
-    }
-    return header, _table(ts, [vals]), summary
+    samples = ResidualReport.from_samples(dpath.grid.nodes()[core], dpath.values[core], p.grid.h)
+    return _pointwise(samples)
 
 
 def _cmd_functional(cfg):
-    grid = _config_grid(cfg)
-    sp = _config_scale(cfg, grid)
-    params = _config_params(cfg)
-    p = _config_path(cfg, grid, params)
+    sp, params, p = _path_problem(cfg)
     Lg = _config_lagrangian(cfg, params, p.dim)
     ts, integrand, h = functional_integrand(Lg, p, sp)
     value = complex(trapezoid(integrand, h))
     header = ["t", "re_1", "im_1"]
     summary = {
-        "command": "functional",
         "n_nodes": int(ts.size),
         "value_re": value.real,
         "value_im": value.imag,
@@ -346,29 +364,14 @@ def _cmd_functional(cfg):
 
 
 def _cmd_residual(cfg, which: str):
-    grid = _config_grid(cfg)
-    sp = _config_scale(cfg, grid)
-    params = _config_params(cfg)
-    p = _config_path(cfg, grid, params)
+    sp, params, p = _path_problem(cfg)
     Lg = _config_lagrangian(cfg, params, p.dim)
     op = euler_lagrange_residual if which == "check-el" else dubois_reymond_residual
-    report = op(Lg, p, sp)
-    dim = 1 if report.residuals.ndim == 1 else report.residuals.shape[1]
-    header = ["t"] + _complex_columns("", dim)
-    summary = {
-        "command": which,
-        "n_nodes": int(report.node_times.size),
-        "max_abs": report.max_abs,
-        "l2": report.l2,
-    }
-    return header, _table(report.node_times, [report.residuals]), summary
+    return _pointwise(op(Lg, p, sp))
 
 
 def _cmd_invariance(cfg):
-    grid = _config_grid(cfg)
-    sp = _config_scale(cfg, grid)
-    params = _config_params(cfg)
-    p = _config_path(cfg, grid, params)
+    sp, params, p = _path_problem(cfg)
     Lg = _config_lagrangian(cfg, params, p.dim)
     sym = _config_symmetry(cfg, params, p.dim)
     derivative = invariance_derivative(Lg, p, sym, sp)
@@ -376,7 +379,6 @@ def _cmd_invariance(cfg):
     integral = complex(trapezoid(integrand, h))
     header = ["t", "re_1", "im_1"]
     summary = {
-        "command": "invariance",
         "n_nodes": int(ts.size),
         "derivative_re": derivative.real,
         "derivative_im": derivative.imag,
@@ -388,16 +390,12 @@ def _cmd_invariance(cfg):
 
 
 def _cmd_noether(cfg):
-    grid = _config_grid(cfg)
-    sp = _config_scale(cfg, grid)
-    params = _config_params(cfg)
-    p = _config_path(cfg, grid, params)
+    sp, params, p = _path_problem(cfg)
     Lg = _config_lagrangian(cfg, params, p.dim)
     sym = _config_symmetry(cfg, params, p.dim)
     report = noether_constant(Lg, p, sym, sp)
     header = ["t", "c_re", "c_im"]
     summary = {
-        "command": "noether",
         "n_nodes": int(report.node_times.size),
         "mean_re": report.mean.real,
         "mean_im": report.mean.imag,
@@ -412,14 +410,7 @@ def _cmd_schrodinger(cfg):
     sp = _config_scale(cfg, grid, default_mu="-i")
     params = _config_params(cfg)
     q0_raw = _field(cfg, "problem.q0", list, what="a list of initial components")
-    q0 = []
-    for k, item in enumerate(q0_raw):
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            q0.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            q0.append(complex(item[0], item[1]))
-        else:
-            raise ValidationError(f'invalid field "problem.q0[{k}]": expected a number or [re, im]')
+    q0 = [_complex(f"problem.q0[{k}]", item) for k, item in enumerate(q0_raw)]
     dim = len(q0)
     if dim < 1:
         raise ValidationError('invalid field "problem.q0": needs at least one component')
@@ -427,26 +418,17 @@ def _cmd_schrodinger(cfg):
     potential = _field(cfg, "problem.potential", str, what="an expression string")
     hbar = _real(cfg, "problem.hbar")
     mass = _real(cfg, "problem.m")
-    try:
+    with _naming("problem.psi/problem.potential"):
         prob = SchrodingerProblem(psi, potential, hbar, mass, dim=dim, params=params)
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "problem.psi/problem.potential": {err}') from err
     traj = integrate_trajectory(prob, q0, grid)
     energy = energy_constant(prob, traj, sp)
-    core = grid.core
-    ts = grid.nodes()[core]
-    qs = traj.path.values[core]
-    residual = schrodinger_residual(prob, ts, qs)
     thm, var = energy.theorem, energy.variant
-    header = (
-        ["t"]
-        + _complex_columns("", dim)
-        + ["c_thm_re", "c_thm_im", "c_var_re", "c_var_im"]
-    )
     # core nodes of the energy window coincide with the grid core, so qs aligns
+    qs = traj.path.values[grid.core]
+    residual = schrodinger_residual(prob, thm.node_times, qs)
+    header = ["t"] + _complex_columns(dim) + ["c_thm_re", "c_thm_im", "c_var_re", "c_var_im"]
     table = _table(thm.node_times, [qs, thm.constant_samples, var.constant_samples])
     summary = {
-        "command": "schrodinger",
         "n_nodes": int(thm.node_times.size),
         "residual_max_abs": residual.max_abs,
         "drift_thm": thm.drift,
@@ -467,45 +449,30 @@ def _cmd_holder(cfg):
     _config_scale(cfg, None)  # schema completeness; the estimator itself is scale-free
     params = _config_params(cfg)
     deltas = _field(cfg, "problem.deltas", list, what="a list of decreasing deltas")
-    sample_count = _field(
-        cfg,
-        "problem.sample_count",
-        int,
-        check=lambda n: not isinstance(n, bool) and n >= 2,
-        what="an integer >= 2",
-    )
-    source = _walk(cfg, "problem.weierstrass", default=None)
-    meta_alpha = None
-    if source is not None:
+    sample_count = _count(cfg, "problem.sample_count")
+    if _walk(cfg, "problem.weierstrass", default=None) is not None:
         a_coef = _real(cfg, "problem.weierstrass.a_coef")
         b_base = _real(cfg, "problem.weierstrass.b_base")
         trunc_tol = _real(cfg, "problem.weierstrass.trunc_tol")
-        try:
+        with _naming("problem.weierstrass"):
             p = weierstrass(a_coef, b_base, trunc_tol)
-        except ValidationError as err:
-            raise ValidationError(f'invalid field "problem.weierstrass": {err}') from err
-        meta_alpha = p.meta["holder_alpha"]
     else:
         p = _config_path(cfg, grid, params)
-    try:
-        deltas_f = [float(d) for d in deltas]
-    except (TypeError, ValueError):
-        raise ValidationError('invalid field "problem.deltas": expected numbers') from None
-    try:
+    if not all(map(_finite, deltas)):
+        raise ValidationError('invalid field "problem.deltas": expected numbers')
+    deltas_f = [float(d) for d in deltas]
+    with _naming("problem.deltas"):
         estimate = estimate_holder(p, deltas_f, sample_count, interval=(grid.a, grid.b))
-    except ValidationError as err:
-        raise ValidationError(f'invalid field "problem.deltas": {err}') from err
     header = ["delta", "m_max"]
     table = np.column_stack([deltas_f, estimate.profile])
     summary = {
-        "command": "holder",
         "alpha": estimate.alpha,
         "fit_residual": estimate.fit_residual,
         "delta_min": estimate.delta_range[0],
         "delta_max": estimate.delta_range[1],
     }
-    if meta_alpha is not None:
-        summary["theory_alpha"] = float(meta_alpha)
+    if "holder_alpha" in p.meta:
+        summary["theory_alpha"] = float(p.meta["holder_alpha"])
     return header, table, summary
 
 
@@ -521,11 +488,14 @@ _DISPATCH = {
 }
 
 
+COMMANDS = tuple(_DISPATCH)
+
+
 def run(config_path: str, overrides=()) -> int:
     """Execute one experiment config; write <prefix>.csv and <prefix>.summary.json."""
     try:
         cfg = _load_config(config_path, overrides)
-        command = _field(cfg, "command", str, what=f"one of {', '.join(COMMANDS)}")
+        command = _walk(cfg, "command")
         if command not in COMMANDS:
             raise ValidationError(
                 f'invalid field "command": expected one of {", ".join(COMMANDS)}, got {command!r}'
@@ -533,16 +503,12 @@ def run(config_path: str, overrides=()) -> int:
         prefix = _field(cfg, "output", str, what="an output path prefix")
         header, table, summary = _DISPATCH[command](cfg)
         csv_text = _csv_text(header, table)
-        summary_text = _summary_text(summary)
-        _atomic_write(prefix + ".csv", csv_text)
-        _atomic_write(prefix + ".summary.json", summary_text)
+        summary_text = _summary_text({"command": command, **summary})
+        _write_pair(prefix, csv_text, summary_text)
     except NumericalError as err:
         print(f"scalevar: numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError) as err:
-        print(f"scalevar: {err}", file=sys.stderr)
-        return 2
-    except ScaleVarError as err:  # pragma: no cover - safety net
+    except (ScaleVarError, OSError) as err:
         print(f"scalevar: {err}", file=sys.stderr)
         return 2
     return 0

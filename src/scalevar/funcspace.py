@@ -132,7 +132,10 @@ def make_grid(a: float, b: float, n: int, pad: float = 0.0) -> TimeGrid:
     if a >= b:
         raise ValidationError(f"grid needs a < b, got a={a}, b={b}")
     # pad*n/(b-a) instead of pad/h so a half-step pad rounds on exact arithmetic
-    pad_steps = math.floor(pad * n / (b - a) + 0.5)
+    steps = pad * n / (b - a)
+    if not math.isfinite(steps):
+        raise ValidationError(f"pad={pad} is not a finite number of steps h={(b - a) / n}")
+    pad_steps = math.floor(steps + 0.5)
     return TimeGrid(float(a), float(b), int(n), pad_steps)
 
 

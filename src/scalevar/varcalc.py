@@ -205,6 +205,11 @@ def _eval_samples(expr, params, ts, qvals, vvals=None) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(out, dtype=np.complex128), (n,)))
 
 
+def _eval_columns(exprs, params, ts, qvals, vvals=None) -> np.ndarray:
+    """_eval_samples of each expression, stacked as the columns of an (N, len(exprs)) array."""
+    return np.stack([_eval_samples(e, params, ts, qvals, vvals) for e in exprs], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -221,15 +226,15 @@ def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex
     return complex(trapezoid(integrand, h))
 
 
-def _boxed_samples(st: _PathState, sp: ScaleParams, inner: np.ndarray, rhs_fn):
-    """Apply an outer scale derivative to per-node samples on the state's grid;
-    return the node times and box(inner) - rhs on the window [a + eps, b - eps]."""
+def _boxed_samples(st: _PathState, sp: ScaleParams, inner: np.ndarray, params, rhs):
+    """Apply an outer scale derivative to per-node samples on the state's grid; return
+    the node times and box(inner) minus the rhs expressions on the window [a + eps, b - eps]."""
     outer = scale_derivative_path(Path.from_samples(st.grid, inner), sp)
     g2 = outer.grid
     m = st.grid.pad_steps - g2.pad_steps
     inside = slice(m, st.grid.num_nodes - m)
     ts2 = g2.nodes()
-    res = outer.values - rhs_fn(ts2, st.q[inside], st.v[inside])
+    res = outer.values - _eval_columns(rhs, params, ts2, st.q[inside], st.v[inside])
     if g2.n <= 2 * m:
         raise GridError("grid too coarse: the window [a+eps, b-eps] is empty")
     w = slice(g2.pad_steps + m, g2.pad_steps + g2.n - m + 1)
@@ -246,18 +251,10 @@ def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     path itself, so the input needs pad >= 2*eps.
     """
     st = _path_state(Lg, p, sp, outer="momentum")
-    momentum = np.stack(
-        [_eval_samples(Lg.grad_v[k], Lg.params, st.ts, st.q, st.v) for k in range(Lg.dim)], axis=1
-    )
-
-    def rhs(ts, qv, vv):
-        return np.stack(
-            [_eval_samples(Lg.grad_q[k], Lg.params, ts, qv, vv) for k in range(Lg.dim)], axis=1
-        )
-
+    momentum = _eval_columns(Lg.grad_v, Lg.params, st.ts, st.q, st.v)
     # negate box(momentum) - dL/dq rather than subtract the other way: the
     # signs of zeros (-0.0 in the CSV) stay as they are
-    ts, res = _boxed_samples(st, sp, momentum, rhs)
+    ts, res = _boxed_samples(st, sp, momentum, Lg.params, Lg.grad_q)
     return ResidualReport.from_samples(ts, -res, p.grid.h)
 
 
@@ -269,11 +266,7 @@ def dubois_reymond_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     for k in range(Lg.dim):
         momentum_dot_v += _eval_samples(Lg.grad_v[k], Lg.params, st.ts, st.q, st.v) * st.v[:, k]
     energy = lvals - momentum_dot_v
-
-    def rhs(ts, qv, vv):
-        return _eval_samples(Lg.dL_dt, Lg.params, ts, qv, vv)[:, None]
-
-    ts, res = _boxed_samples(st, sp, energy[:, None], rhs)
+    ts, res = _boxed_samples(st, sp, energy[:, None], Lg.params, (Lg.dL_dt,))
     return ResidualReport.from_samples(ts, res, p.grid.h)
 
 
@@ -284,15 +277,11 @@ def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScalePa
     g = p.grid
     ts_all = g.nodes()
     tau_all = _eval_samples(sym.tau, sym.params, ts_all, p.values)
-    xi_all = np.stack(
-        [_eval_samples(x, sym.params, ts_all, p.values) for x in sym.xi], axis=1
-    )
-    m = g.pad_steps - st.grid.pad_steps
-    core = st.grid.core
-    tau = tau_all[m:-m][core]
-    xi = xi_all[m:-m][core]
+    xi_all = _eval_columns(sym.xi, sym.params, ts_all, p.values)
+    tau, xi = tau_all[g.core], xi_all[g.core]
     if not boxed:
         return (*st.core(), tau, xi, None, None)
+    core = st.grid.core
     dtau = scale_derivative_path(Path.from_samples(g, tau_all), sp).values[:, 0][core]
     dxi = scale_derivative_path(Path.from_samples(g, xi_all), sp).values[core]
     return (*st.core(), tau, xi, dtau, dxi)
@@ -316,14 +305,8 @@ def invariance_derivative(
             raise NumericalError(
                 "time deformation degenerate: |1 + s*box(tau)| < 1e-6 at a node"
             )
-        b = Bindings(
-            t=ts + s * tau,
-            q=tuple((qv + s * xi).T),
-            v=tuple(((vv + s * dxi) / den[:, None]).T),
-            params=Lg.params,
-        )
-        integrand = np.broadcast_to(
-            np.asarray(evaluate(Lg.L, b), dtype=np.complex128), ts.shape
+        integrand = _eval_samples(
+            Lg.L, Lg.params, ts + s * tau, qv + s * xi, (vv + s * dxi) / den[:, None]
         ) * den
         return complex(trapezoid(integrand, p.grid.h))
 
@@ -367,8 +350,6 @@ def noether_constant(
     """
     ts, qv, vv, tau, xi, _, _ = _generator_state(Lg, p, sym, sp, boxed=False)
     lvals = _eval_samples(Lg.L, Lg.params, ts, qv, vv)
-    momentum = np.stack(
-        [_eval_samples(Lg.grad_v[k], Lg.params, ts, qv, vv) for k in range(Lg.dim)], axis=1
-    )
+    momentum = _eval_columns(Lg.grad_v, Lg.params, ts, qv, vv)
     samples = (momentum * xi).sum(axis=1) + (lvals - (momentum * vv).sum(axis=1)) * tau
     return NoetherReport.from_samples(ts, samples)

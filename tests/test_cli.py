@@ -170,6 +170,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         ("problem.deltas=[1.5,1.2,1.1]", "problem.deltas"),
         ("problem.sample_count=1", "problem.sample_count"),
         ("problem.sample_count=true", "problem.sample_count"),
+        ("problem.sample_count=1000000000000", "problem.sample_count"),
     ],
 )
 def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field):
@@ -177,6 +178,32 @@ def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field
     assert code == 2
     err = capsys.readouterr().err
     assert f'invalid field "{field}"' in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "config, override, field",
+    [
+        ("schrodinger_gaussian", 'problem.q0=[["a",1]]', "problem.q0[0]"),
+        ("schrodinger_gaussian", 'problem.q0=[[1,"x"]]', "problem.q0[0]"),
+        ("schrodinger_gaussian", "problem.q0=[[null,1]]", "problem.q0[0]"),
+        ("schrodinger_gaussian", "problem.q0=[[true,false]]", "problem.q0[0]"),
+        ("schrodinger_gaussian", "problem.q0=[1e400]", "problem.q0[0]"),
+        ("noether_free_particle", "problem.params.w=[0,1e400]", "problem.params.w"),
+        ("deriv_parabola", "grid.n=true", "grid.n"),
+        ("deriv_parabola", "grid.n=1000000000000", "grid.n"),
+        # grids that pad past the node limit: rejected before anything is allocated
+        ("deriv_parabola", "grid.pad=1e300", "grid"),
+        ("check_el_oscillator", "grid.b=1e-300", "grid"),
+        ("check_el_oscillator", "grid.pad=1000000000000", "grid"),
+    ],
+)
+def test_config_value_errors_name_their_field(tmp_path, capsys, config, override, field):
+    code, csv_path, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", override)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f'invalid field "{field}": ' in err
     assert "Traceback" not in err
     assert not csv_path.exists()
 
@@ -247,6 +274,34 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     assert list(csv_path.parent.iterdir()) == []
 
 
+def test_failed_summary_write_keeps_the_previous_pair(tmp_path, monkeypatch, capsys):
+    config = CONFIG_DIR / "noether_free_particle.json"
+    code, csv_path, summary_path = _run(tmp_path, config)
+    assert code == 0
+    before = csv_path.read_bytes(), summary_path.read_bytes()
+    replace = os.replace
+
+    def refuse_summary(src, dst):
+        if str(dst).endswith(".summary.json"):
+            raise PermissionError(f"cannot replace {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_summary)
+    # a changed epsilon changes both files, so a half-committed pair would show
+    code, _, _ = _run(tmp_path, config, "scale.epsilon=0.002")
+    assert code == 2
+    assert "cannot replace" in capsys.readouterr().err
+    assert (csv_path.read_bytes(), summary_path.read_bytes()) == before
+    assert sorted(p.name for p in csv_path.parent.iterdir()) == [
+        "noether_free_particle.csv",
+        "noether_free_particle.summary.json",
+    ]
+    # with no earlier pair, the new CSV is removed again
+    code, fresh_csv, _ = _run(tmp_path / "fresh", config)
+    assert code == 2
+    assert list(fresh_csv.parent.iterdir()) == []
+
+
 def test_outputs_keep_the_default_file_mode(tmp_path):
     code, csv_path, summary_path = _run(tmp_path, CONFIG_DIR / "deriv_parabola.json")
     assert code == 0
@@ -305,6 +360,54 @@ def test_integer_power_overflow_at_run_time_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure: overflow in power ^400" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# hostile values in any one config field
+
+# one value of every JSON kind, and numbers at the extremes: 10**12 grid nodes
+# or probes would ask for terabytes, so they must fail before any allocation
+_HOSTILE = (True, False, None, "", "x", {}, [], [[1, "x"]], [[None, 1]], [[True, False]],
+            0, -1, 1e-300, 1e300, -1e300, 10**12)
+
+
+def _fields(node, path=()):
+    """Key paths of every value in a config, containers and list elements included."""
+    if path:
+        yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _fields(child, path + (key,))
+
+
+def _with_params(config):
+    cfg = json.loads(config.read_text())
+    cfg["problem"]["params"] = {"w": [0.5, 0.25]}  # unused, but read and checked
+    return cfg
+
+
+_TARGETS = [
+    (config, path)
+    for config in BUNDLED
+    for path in _fields(_with_params(config))
+    if path != ("output",)
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(_TARGETS), st.sampled_from(_HOSTILE))
+def test_hostile_field_values_exit_0_2_or_3(tmp_path_factory, target, value):
+    config, path = target
+    cfg = _with_params(config)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    workdir = tmp_path_factory.mktemp("hostile")
+    cfg["output"] = str(workdir / "out")
+    config_path = workdir / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    assert run(str(config_path)) in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def test_grid_rejects_bad_parameters():
         make_grid(0.0, math.inf, 10, 0.0)
     with pytest.raises(ValidationError):
         make_grid(0.0, 1.0, 10.5, 0.0)
+    with pytest.raises(ValidationError, match="not a finite number of steps"):
+        make_grid(0.0, 1e-300, 100, 1e300)
 
 
 def test_grid_index_and_steps():
