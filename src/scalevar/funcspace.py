@@ -293,7 +293,10 @@ def weierstrass(a_coef: float, b_base: float, trunc_tol: float) -> Path:
         if nterms > _MAX_SERIES_TERMS:
             raise ValidationError("trunc_tol too small: series truncation exceeds the term cap")
     coef = a_coef ** np.arange(nterms)
-    freq = np.pi * b_base ** np.arange(nterms)
+    with np.errstate(over="ignore"):
+        freq = np.pi * b_base ** np.arange(nterms)
+    if not np.isfinite(freq).all():
+        raise ValidationError(f"b_base={b_base} makes the series frequencies overflow")
 
     def series(ts, _coef=coef, _freq=freq):
         return np.cos(np.multiply.outer(np.asarray(ts, dtype=float), _freq)) @ _coef

@@ -17,8 +17,12 @@ real constant.  Evaluation uses complex arithmetic with principal branches
 for ln and sqrt; abs2(z) = z*conj(z) evaluates real.  Differentiation through
 abs2 and conj is only defined along the real variable t and is rejected for
 the complex-valued q and v variables.  Construction applies constant folding
-and the 0/1 identities, nothing more.  parse rejects a literal or folded
-constant that is not finite, and expressions nesting deeper than MAX_DEPTH.
+and the 0/1 identities, nothing more.  ln and sqrt of a negative real
+constant fold on the principal branch, as evaluation takes them.  Every
+constant a constructor folds is checked: one that is not finite raises
+ExpressionError, whether parse folds it (the message gives the column) or
+diff does.  parse also rejects a literal that is not finite and expressions
+nesting deeper than MAX_DEPTH.
 
 Evaluation model: compile(e) lowers an expression once to a tree of Python
 closures, one per node, that takes Bindings and returns the value.
@@ -39,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ExpressionError, NumericalError, ScaleVarError, ValidationError
+from .errors import ExpressionError, NumericalError, ValidationError
 
 __all__ = [
     "Const",
@@ -72,8 +76,12 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs2", "conj")
 
 _VAR_RE = re.compile(r"^([qv])([0-9]+)$")
-_NUM_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(
+    r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<space>\s+)"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,48 +127,43 @@ class Call:
 Expr = Union[Const, Var, Neg, BinOp, Pow, Call]
 
 # Deepest expression parse accepts, in parser nesting and in tree height.
-# The parser recurses five frames per nesting level; diff, format_expr,
-# compile and the compiled closures recurse one frame per tree level, and a
-# second derivative can be six times deeper than its expression (a chain of
-# quotients).  At 100 every pass stays near 600 frames, inside Python's
-# default recursion limit of 1000.
+# The parser recurses six frames per level of parentheses or function call
+# (unary, power, atom, and expr three times: once per precedence level and
+# once to reach the operand), one per sign and two per exponent; diff,
+# format_expr, compile and the compiled closures recurse one frame per tree
+# level, and a second derivative can be six times deeper than its expression
+# (a chain of quotients).  At 100 every pass stays near 600 frames, inside
+# Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 
 
-def _children(e: Expr) -> tuple:
-    if isinstance(e, BinOp):
-        return (e.left, e.right)
-    if isinstance(e, (Neg, Call)):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    return ()
+def _walk(e: Expr):
+    """Every node of e with its level (the root is 1), visited without recursion."""
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        if isinstance(node, BinOp):
+            stack += ((node.left, level + 1), (node.right, level + 1))
+        elif isinstance(node, (Neg, Call)):
+            stack.append((node.arg, level + 1))
+        elif isinstance(node, Pow):
+            stack.append((node.base, level + 1))
 
 
 def _depth(e: Expr) -> int:
-    """Height of the tree (a leaf is 1), counted without recursion."""
-    deepest, stack = 0, [(e, 1)]
-    while stack:
-        node, d = stack.pop()
-        deepest = max(deepest, d)
-        stack.extend((child, d + 1) for child in _children(node))
-    return deepest
+    """Height of the tree (a leaf is 1)."""
+    return max(level for _, level in _walk(e))
 
 
 def free_variables(e: Expr) -> set:
     """Names of all variables and parameters referenced by e."""
-    names, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            names.add(node.name)
-        stack.extend(_children(node))
-    return names
+    return {node.name for node, _ in _walk(e) if isinstance(node, Var)}
 
 
 def references_velocity(e: Expr) -> bool:
     """True when e uses a velocity variable v1..vd."""
-    return any(n.startswith("v") and _VAR_RE.match(n) for n in free_variables(e))
+    return any(isinstance(node, Var) and node.kind == "v" for node, _ in _walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +174,16 @@ def _is_const(e, value=None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
+def _fold(value) -> Const:
+    """The constant that folding produced; it must be finite."""
+    if not cmath.isfinite(value):
+        raise ExpressionError(f"constant is not finite ({value})")
+    return Const(value)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold(a.value + b.value)
     if _is_const(a, 0):
         return b
     if _is_const(b, 0):
@@ -183,7 +193,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold(a.value - b.value)
     if _is_const(b, 0):
         return a
     if _is_const(a, 0):
@@ -193,7 +203,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def neg(a: Expr) -> Expr:
     if isinstance(a, Const):
-        return Const(-a.value)
+        return _fold(-a.value)
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
@@ -201,7 +211,7 @@ def neg(a: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold(a.value * b.value)
     if isinstance(b, Const):
         a, b = b, a  # canonical constant on the left
     if isinstance(a, Const):
@@ -210,13 +220,13 @@ def mul(a: Expr, b: Expr) -> Expr:
         if a.value == 1:
             return b
         if isinstance(b, BinOp) and b.op == "*" and isinstance(b.left, Const):
-            return mul(Const(a.value * b.left.value), b.right)
+            return mul(_fold(a.value * b.left.value), b.right)
     return BinOp("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
+        return _fold(a.value / b.value)
     if _is_const(b, 1):
         return a
     return BinOp("/", a, b)
@@ -231,10 +241,10 @@ def power(base: Expr, exponent: float) -> Expr:
     if isinstance(base, Const):
         try:
             with np.errstate(all="ignore"):
-                return Const(_pow_fn(exponent)(base.value))
+                return _fold(_pow_fn(exponent)(base.value))
         except OverflowError:
             raise ExpressionError("constant is not finite (overflow)") from None
-        except ScaleVarError:
+        except NumericalError:  # a zero base under a negative power stays a Pow
             pass
     return Pow(base, exponent)
 
@@ -243,10 +253,13 @@ def func(fn: str, arg: Expr) -> Expr:
     if fn not in FUNCTIONS:
         raise ValidationError(f"unknown function {fn!r}")
     if isinstance(arg, Const):
+        value = arg.value
+        if fn in ("ln", "sqrt") and value.real < 0:
+            value = complex(value)  # the principal branch, not the real nan
         try:
             with np.errstate(all="ignore"):
-                return Const(complex(_FN_IMPL[fn](arg.value)))
-        except ScaleVarError:
+                return _fold(complex(_FN_IMPL[fn](value)))
+        except NumericalError:  # ln(0) stays a Call
             pass
     return Call(fn, arg)
 
@@ -266,39 +279,26 @@ def _tokenize(text: str):
     tokens = []
     pos = 0
     while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("num", m.group(), pos + 1))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(), pos + 1))
-            pos = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, pos + 1))
-            pos += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", pos + 1)
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), pos + 1))
+        pos = m.end()
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
 
-def _finite(node: Expr, column: int) -> Expr:
-    """node, unless folding just made a non-finite constant.
+# binary operators by precedence, loosest first; all are left-associative
+_BINARY = ({"+": add, "-": sub}, {"*": mul, "/": div})
 
-    Folding creates constants at the top only, or, when mul() merges
-    constant factors, as the left operand of a product.
-    """
-    const = node.left if isinstance(node, BinOp) else node
-    if isinstance(const, Const) and not cmath.isfinite(const.value):
-        raise ExpressionError(f"constant is not finite ({const.value})", column)
-    return node
+
+def _build(column: int, fn, *args) -> Expr:
+    """fn(*args); a folding error gets the column of the token that asked for it."""
+    try:
+        return fn(*args)
+    except ExpressionError as err:
+        raise ExpressionError(str(err), column) from None
 
 
 class _Parser:
@@ -319,24 +319,19 @@ class _Parser:
 
     def expect_op(self, op: str) -> _Token:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
+        if tok.text == op:
             return self.take()
         raise ExpressionError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.column)
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take()
-            rhs = self.term()
-            node = _finite(add(node, rhs) if op.text == "+" else sub(node, rhs), op.column)
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take()
-            rhs = self.unary()
-            node = _finite(mul(node, rhs) if op.text == "*" else div(node, rhs), op.column)
+    def expr(self, level: int = 0) -> Expr:
+        """Operands joined by the operators of _BINARY[level] and tighter ones."""
+        if level == len(_BINARY):
+            return self.unary()
+        ops = _BINARY[level]
+        node = self.expr(level + 1)
+        while (op := self.peek()).text in ops:
+            self.take()
+            node = _build(op.column, ops[op.text], node, self.expr(level + 1))
         return node
 
     def unary(self) -> Expr:
@@ -347,7 +342,7 @@ class _Parser:
             raise ExpressionError(
                 f"expression nests deeper than {MAX_DEPTH} levels", self.peek().column
             )
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek().text == "-":
             self.take()
             node = neg(self.unary())
         else:
@@ -357,35 +352,27 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek().text == "^":
             caret = self.take()
             exp_node = self.unary()
             if not isinstance(exp_node, Const) or exp_node.value.imag != 0:
                 raise ExpressionError("exponent must fold to a real constant", caret.column)
-            try:
-                node = power(base, exp_node.value.real)
-            except ExpressionError as err:
-                raise ExpressionError(str(err), caret.column) from None
-            return _finite(node, caret.column)
+            return _build(caret.column, power, base, exp_node.value.real)
         return base
 
     def atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "num":
-            return _finite(Const(float(tok.text)), tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if tok.kind == "ident":
-            name = tok.text
-            if name in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return _finite(func(name, arg), tok.column)
-            return self.resolve(name, tok.column)
-        raise ExpressionError(f"unexpected token {tok.text or 'end of input'!r}", tok.column)
+            return _build(tok.column, _fold, float(tok.text))
+        if tok.kind == "ident" and tok.text not in FUNCTIONS:
+            return self.resolve(tok.text, tok.column)
+        if tok.kind == "ident":  # a function name, then its parenthesised argument
+            self.expect_op("(")
+        elif tok.text != "(":
+            raise ExpressionError(f"unexpected token {tok.text or 'end of input'!r}", tok.column)
+        node = self.expr()
+        self.expect_op(")")
+        return node if tok.text == "(" else _build(tok.column, func, tok.text, node)
 
     def resolve(self, name: str, column: int) -> Expr:
         if name == "t":
@@ -448,14 +435,13 @@ def _coerce(x):
 
 
 def _ipow(z, n: int):
-    if n < 0:
-        if np.any(z == 0):
-            raise NumericalError("zero base raised to a negative power")
-        return 1.0 / _ipow(z, -n)
+    """z^n for a negative integer n."""
+    if np.any(z == 0):
+        raise NumericalError("zero base raised to a negative power")
     try:
-        return z**n
-    except ZeroDivisionError:  # pragma: no cover - guarded above
-        raise NumericalError("zero base raised to a negative power") from None
+        return 1.0 / z**-n
+    except ZeroDivisionError:  # z^-n underflowed to zero, so z^n overflows
+        raise OverflowError(f"power ^{n} overflows") from None
 
 
 def _pow_fn(c: float):
@@ -565,7 +551,7 @@ def _lower_pow(e: Pow, base):
         z = base(b)
         try:
             return pw(z)
-        except OverflowError:  # Python scalar ** overflows where numpy gives inf
+        except OverflowError:  # a Python scalar power overflows where numpy gives inf
             raise NumericalError(f"overflow in power ^{e.exponent:g}") from None
 
     return raise_to
@@ -683,8 +669,7 @@ def _fmt_const(v: complex):
             return "i", _PREC_ATOM
         if im == -1:
             return "-i", _PREC_NEG
-        s = f"{_fmt_float(im)}*i"
-        return s, (_PREC_NEG if s.startswith("-") else _PREC_MUL)
+        return f"{_fmt_float(im)}*i", _PREC_MUL  # a product, whatever its sign
     sign = "-" if im < 0 else "+"
     tail = "i" if abs(im) == 1 else f"{_fmt_float(abs(im))}*i"
     return f"({_fmt_float(re_)}{sign}{tail})", _PREC_ATOM

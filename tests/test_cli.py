@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,48 @@ def test_integer_power_overflow_at_run_time_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure: overflow in power ^400" in capsys.readouterr().err
+
+
+def test_underflowed_negative_power_in_a_constant_exits_two(tmp_path, capsys):
+    # 1e-200^2 underflows to zero, so the folded 1e-200^-2 overflows
+    config = CONFIG_DIR / "functional_free_particle.json"
+    code, _, _ = _run(tmp_path, config, 'problem.L="v1*1e-200^-2"')
+    assert code == 2
+    err = capsys.readouterr().err
+    assert 'invalid field "problem.L"' in err and "Traceback" not in err
+
+
+def test_underflowed_negative_power_at_run_time_exits_three(tmp_path, capsys):
+    code, _, _ = _run(
+        tmp_path,
+        CONFIG_DIR / "schrodinger_gaussian.json",
+        'problem.psi="1+q1^-2"',
+        "problem.q0=[1e-200]",
+    )
+    assert code == 3
+    assert "numerical failure: overflow in power ^-2" in capsys.readouterr().err
+
+
+def test_non_finite_constant_folded_by_diff_exits_two(tmp_path, capsys):
+    # parse folds nothing here; dL/dq1 folds 1.7e306*1000
+    config = CONFIG_DIR / "check_el_oscillator.json"
+    code, csv_path, _ = _run(tmp_path, config, 'problem.L="0.5*v1^2 + 1.7e306*q1^1000"')
+    assert code == 2
+    err = capsys.readouterr().err
+    assert 'invalid field "problem.L": constant is not finite' in err
+    assert not csv_path.exists()
+
+
+def test_overflowing_weierstrass_frequencies_exit_two(tmp_path, capsys):
+    config = CONFIG_DIR / "holder_weierstrass.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, csv_path, _ = _run(tmp_path, config, "problem.weierstrass.b_base=1e300")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert 'invalid field "problem.weierstrass"' in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not csv_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_evaluate, same_bits
@@ -23,12 +23,17 @@ from scalevar.lagdsl import (
     add,
     compile,
     diff,
+    div,
     evaluate,
     format_expr,
     free_variables,
+    func,
     mul,
+    neg,
     parse,
+    power,
     references_velocity,
+    sub,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -310,6 +315,12 @@ def test_constant_folding_at_parse():
     assert isinstance(parse("q1*0+1", 1), Const)
 
 
+def test_print_negative_imaginary_denominator():
+    e = parse("t/(-2*i)", 1)
+    assert format_expr(e) == "t/(-2.0*i)"
+    assert evaluate(parse(format_expr(e), 1), Bindings(t=1.0)) == 0.5j
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 
@@ -416,6 +427,35 @@ def _assert_same_as_reference(e, b, closure=None):
             assert got[1] == want[1], (e, b)
 
 
+_FOLDING = {"+": add, "-": sub, "*": mul, "/": div}
+
+
+def _folded(e):
+    """e rebuilt bottom-up through the folding constructors, as parse builds trees."""
+    if isinstance(e, Neg):
+        return neg(_folded(e.arg))
+    if isinstance(e, BinOp):
+        return _FOLDING[e.op](_folded(e.left), _folded(e.right))
+    if isinstance(e, Pow):
+        return power(_folded(e.base), e.exponent)
+    if isinstance(e, Call):
+        return func(e.fn, _folded(e.arg))
+    return e
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_trees)
+def test_format_parse_round_trip(raw):
+    try:
+        e = _folded(raw)
+    except ExpressionError:  # folding made a constant that is not finite
+        assume(False)
+    text = format_expr(e)
+    again = parse(text, 2, ("k",))
+    assert again == e, (text, again)
+    assert format_expr(again) == text
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(e=_trees, bs=st.lists(_bindings(), min_size=2, max_size=2))
 def test_compiled_matches_reference_walk_bitwise(e, bs):
@@ -494,13 +534,48 @@ def test_compiled_guards_raise_like_reference(text, bindings, message):
         ("-1e308*10", 7),
         ("2*exp(1000)", 3),
         ("10^400", 3),
-        ("sqrt(-1)", 1),
     ],
 )
 def test_non_finite_constant_rejected_at_parse(text, column):
     with pytest.raises(ExpressionError, match="not finite") as info:
         parse(text, 1)
     assert info.value.column == column
+
+
+def test_ln_and_sqrt_of_a_negative_constant_fold_on_the_principal_branch():
+    assert parse("sqrt(-1)", 1) == Const(1j)
+    assert parse("ln(-1)", 1) == Const(math.pi * 1j)
+    for fn in ("sqrt", "ln"):
+        for x in (-1.0, -2.5):
+            at_runtime = complex(evaluate(parse(f"{fn}(q1)", 1), Bindings(q=(x,))))
+            assert same_bits(parse(f"{fn}({x})", 1).value, at_runtime)
+    # a positive argument still folds on the real branch; complex ln would
+    # differ in the last bit at 0.8155261736351271
+    for text, value in [
+        ("sqrt(4)", np.sqrt(4.0)),
+        ("ln(2)", np.log(2.0)),
+        ("ln(0.8155261736351271)", np.log(0.8155261736351271)),
+    ]:
+        assert same_bits(parse(text, 1).value, complex(value))
+
+
+def test_diff_rejects_a_non_finite_fold():
+    # 1.7e306 * 1000 overflows when the power rule's factor merges with it
+    e = parse("1.7e306*q1^1000", 1)
+    with pytest.raises(ExpressionError, match="^constant is not finite"):
+        diff(e, "q1")
+    # gradient 1e308*q1^999 is finite, the Hessian's 1e308*999 is not
+    with pytest.raises(ExpressionError, match="^constant is not finite"):
+        ScalarField.from_text("1e305*q1^1000", 1)
+
+
+def test_underflowed_negative_power_overflows():
+    # 1e-200^2 underflows to zero, so 1e-200^-2 overflows
+    with pytest.raises(ExpressionError, match="not finite") as info:
+        parse("1e-200^-2", 1)
+    assert info.value.column == 7
+    with pytest.raises(NumericalError, match="overflow in power"):
+        compile(parse("q1^-2", 1))(Bindings(q=(1e-200,)))
 
 
 def test_largest_finite_constants_parse():
