@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import NumericalError, ScaleVarError, ValidationError
+from .errors import GridError, NumericalError, ScaleVarError, ValidationError
 from .funcspace import Path, estimate_holder, make_grid, weierstrass
 from .lagdsl import Bindings, evaluate, parse
 from .scaleops import ScaleParams, parse_mu, scale_derivative_path, trapezoid
@@ -98,6 +98,15 @@ def _real(cfg, dotted, default=_MISSING):
     if not _finite(value):
         raise ValidationError(f'invalid field "{dotted}": expected a finite number, got {value!r}')
     return float(value)
+
+
+def _positive(cfg, dotted, most=None, default=_MISSING) -> float:
+    """A finite number in (0, most], or in (0, inf) when most is None."""
+    value = _real(cfg, dotted, default)
+    if not (value > 0 and (most is None or value <= most)):
+        bound = "a positive number" if most is None else f"a number in (0, {most}]"
+        raise ValidationError(f'invalid field "{dotted}": expected {bound}, got {value!r}')
+    return value
 
 
 def _count(cfg, dotted) -> int:
@@ -230,7 +239,7 @@ def _config_symmetry(cfg, params, dim) -> SymmetrySpec:
     xi = _expr_list(cfg, "problem.xi")
     if len(xi) != dim:
         raise ValidationError(f'invalid field "problem.xi": expected {dim} components, got {len(xi)}')
-    s_step = _real(cfg, "problem.s_step", default=1e-4)
+    s_step = _positive(cfg, "problem.s_step", most=0.1, default=1e-4)
     with _naming("problem.tau/problem.xi"):
         return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, s_step=s_step)
 
@@ -329,16 +338,19 @@ def _table(ts, arrays) -> np.ndarray:
 # Commands
 
 
+def _per_node(ts, values, columns, **summary):
+    """Output of per-node samples: header t + columns, the (t, values) table, and
+    the summary with the node count."""
+    return ["t"] + columns, _table(ts, [values]), {"n_nodes": int(ts.size), **summary}
+
+
 def _pointwise(report: ResidualReport):
     """Output of per-node samples with their max |.| and h-weighted l2 norm."""
     dim = 1 if report.residuals.ndim == 1 else report.residuals.shape[1]
-    header = ["t"] + _complex_columns(dim)
-    summary = {
-        "n_nodes": int(report.node_times.size),
-        "max_abs": report.max_abs,
-        "l2": report.l2,
-    }
-    return header, _table(report.node_times, [report.residuals]), summary
+    return _per_node(
+        report.node_times, report.residuals, _complex_columns(dim),
+        max_abs=report.max_abs, l2=report.l2,
+    )
 
 
 def _cmd_deriv(cfg):
@@ -354,20 +366,13 @@ def _cmd_functional(cfg):
     Lg = _config_lagrangian(cfg, params, p.dim)
     ts, integrand, h = functional_integrand(Lg, p, sp)
     value = complex(trapezoid(integrand, h))
-    header = ["t", "re_1", "im_1"]
-    summary = {
-        "n_nodes": int(ts.size),
-        "value_re": value.real,
-        "value_im": value.imag,
-    }
-    return header, _table(ts, [integrand]), summary
+    return _per_node(ts, integrand, _complex_columns(1), value_re=value.real, value_im=value.imag)
 
 
-def _cmd_residual(cfg, which: str):
+def _cmd_residual(cfg, report):
     sp, params, p = _path_problem(cfg)
     Lg = _config_lagrangian(cfg, params, p.dim)
-    op = euler_lagrange_residual if which == "check-el" else dubois_reymond_residual
-    return _pointwise(op(Lg, p, sp))
+    return _pointwise(report(Lg, p, sp))
 
 
 def _cmd_invariance(cfg):
@@ -377,16 +382,14 @@ def _cmd_invariance(cfg):
     derivative = invariance_derivative(Lg, p, sym, sp)
     ts, integrand, h = invariance_integrand(Lg, p, sym, sp)
     integral = complex(trapezoid(integrand, h))
-    header = ["t", "re_1", "im_1"]
-    summary = {
-        "n_nodes": int(ts.size),
-        "derivative_re": derivative.real,
-        "derivative_im": derivative.imag,
-        "integral_re": integral.real,
-        "integral_im": integral.imag,
-        "difference_abs": abs(derivative - integral),
-    }
-    return header, _table(ts, [integrand]), summary
+    return _per_node(
+        ts, integrand, _complex_columns(1),
+        derivative_re=derivative.real,
+        derivative_im=derivative.imag,
+        integral_re=integral.real,
+        integral_im=integral.imag,
+        difference_abs=abs(derivative - integral),
+    )
 
 
 def _cmd_noether(cfg):
@@ -394,14 +397,12 @@ def _cmd_noether(cfg):
     Lg = _config_lagrangian(cfg, params, p.dim)
     sym = _config_symmetry(cfg, params, p.dim)
     report = noether_constant(Lg, p, sym, sp)
-    header = ["t", "c_re", "c_im"]
-    summary = {
-        "n_nodes": int(report.node_times.size),
-        "mean_re": report.mean.real,
-        "mean_im": report.mean.imag,
-        "drift": report.drift,
-    }
-    return header, _table(report.node_times, [report.constant_samples]), summary
+    return _per_node(
+        report.node_times, report.constant_samples, ["c_re", "c_im"],
+        mean_re=report.mean.real,
+        mean_im=report.mean.imag,
+        drift=report.drift,
+    )
 
 
 def _cmd_schrodinger(cfg):
@@ -416,8 +417,8 @@ def _cmd_schrodinger(cfg):
         raise ValidationError('invalid field "problem.q0": needs at least one component')
     psi = _field(cfg, "problem.psi", str, what="an expression string")
     potential = _field(cfg, "problem.potential", str, what="an expression string")
-    hbar = _real(cfg, "problem.hbar")
-    mass = _real(cfg, "problem.m")
+    hbar = _positive(cfg, "problem.hbar")
+    mass = _positive(cfg, "problem.m")
     with _naming("problem.psi/problem.potential"):
         prob = SchrodingerProblem(psi, potential, hbar, mass, dim=dim, params=params)
     traj = integrate_trajectory(prob, q0, grid)
@@ -456,6 +457,10 @@ def _cmd_holder(cfg):
         trunc_tol = _real(cfg, "problem.weierstrass.trunc_tol")
         with _naming("problem.weierstrass"):
             p = weierstrass(a_coef, b_base, trunc_tol)
+        # the series takes cos(t * pi * b_base^k) for t on the grid, k < series_terms
+        top = math.pi * b_base ** (p.meta["series_terms"] - 1)
+        if not math.isfinite(max(abs(grid.a), abs(grid.b)) * top):
+            raise ValidationError('invalid field "grid": the Weierstrass series overflows on it')
     else:
         p = _config_path(cfg, grid, params)
     if not all(map(_finite, deltas)):
@@ -479,8 +484,8 @@ def _cmd_holder(cfg):
 _DISPATCH = {
     "deriv": _cmd_deriv,
     "functional": _cmd_functional,
-    "check-el": lambda cfg: _cmd_residual(cfg, "check-el"),
-    "check-dbr": lambda cfg: _cmd_residual(cfg, "check-dbr"),
+    "check-el": lambda cfg: _cmd_residual(cfg, euler_lagrange_residual),
+    "check-dbr": lambda cfg: _cmd_residual(cfg, dubois_reymond_residual),
     "invariance": _cmd_invariance,
     "noether": _cmd_noether,
     "schrodinger": _cmd_schrodinger,
@@ -508,6 +513,9 @@ def run(config_path: str, overrides=()) -> int:
     except NumericalError as err:
         print(f"scalevar: numerical failure: {err}", file=sys.stderr)
         return 3
+    except GridError as err:  # config readers name their fields; this is geometry a report found
+        print(f'scalevar: invalid field "grid": {err}', file=sys.stderr)
+        return 2
     except (ScaleVarError, OSError) as err:
         print(f"scalevar: {err}", file=sys.stderr)
         return 2

@@ -24,6 +24,10 @@ ExpressionError, whether parse folds it (the message gives the column) or
 diff does.  parse also rejects a literal that is not finite and expressions
 nesting deeper than MAX_DEPTH.
 
+Each function is one row of a table, _FUNCTIONS: its numpy evaluation, its
+derivative rule and whether that rule holds along q and v.  FUNCTIONS lists
+the names in table order.
+
 Evaluation model: compile(e) lowers an expression once to a tree of Python
 closures, one per node, that takes Bindings and returns the value.
 evaluate(e, b) is compile(e)(b), with no cache, so a loop that evaluates the
@@ -72,8 +76,6 @@ __all__ = [
     "func",
     "ScalarField",
 ]
-
-FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs2", "conj")
 
 _VAR_RE = re.compile(r"^([qv])([0-9]+)$")
 _TOKEN_RE = re.compile(
@@ -250,15 +252,14 @@ def power(base: Expr, exponent: float) -> Expr:
 
 
 def func(fn: str, arg: Expr) -> Expr:
-    if fn not in FUNCTIONS:
-        raise ValidationError(f"unknown function {fn!r}")
+    impl = _function(fn)[0]
     if isinstance(arg, Const):
         value = arg.value
         if fn in ("ln", "sqrt") and value.real < 0:
             value = complex(value)  # the principal branch, not the real nan
         try:
             with np.errstate(all="ignore"):
-                return _fold(complex(_FN_IMPL[fn](value)))
+                return _fold(complex(impl(value)))
         except NumericalError:  # ln(0) stays a Call
             pass
     return Call(fn, arg)
@@ -464,15 +465,25 @@ def _abs2(z):
     return (z * np.conjugate(z)).real
 
 
-_FN_IMPL = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "ln": _ln,
-    "sqrt": np.sqrt,
-    "abs2": _abs2,
-    "conj": np.conjugate,
+# name: (numpy evaluation, rule (e, u, du) -> de for e = name(u), whether the
+# rule holds along the complex q and v; abs2 and conj hold along t only)
+_FUNCTIONS = {
+    "sin": (np.sin, lambda e, u, du: mul(func("cos", u), du), True),
+    "cos": (np.cos, lambda e, u, du: neg(mul(func("sin", u), du)), True),
+    "exp": (np.exp, lambda e, u, du: mul(e, du), True),
+    "ln": (_ln, lambda e, u, du: div(du, u), True),
+    "sqrt": (np.sqrt, lambda e, u, du: div(du, mul(Const(2), func("sqrt", u))), True),
+    "abs2": (_abs2, lambda e, u, du: add(mul(u, func("conj", du)), mul(func("conj", u), du)), False),
+    "conj": (np.conjugate, lambda e, u, du: func("conj", du), False),
 }
+FUNCTIONS = tuple(_FUNCTIONS)
+
+
+def _function(fn: str):
+    """The table row of a function name."""
+    if fn not in _FUNCTIONS:
+        raise ValidationError(f"unknown function {fn!r}")
+    return _FUNCTIONS[fn]
 
 
 def _lower_var(e: Var):
@@ -534,9 +545,7 @@ def _lower(e: Expr, done: dict):
     elif isinstance(e, Pow):
         fn = _lower_pow(e, _lower(e.base, done))
     elif isinstance(e, Call):
-        if e.fn not in _FN_IMPL:
-            raise ValidationError(f"unknown function {e.fn!r}")
-        arg, impl = _lower(e.arg, done), _FN_IMPL[e.fn]
+        impl, arg = _function(e.fn)[0], _lower(e.arg, done)
         fn = lambda b: impl(arg(b))
     else:
         raise TypeError(f"not an expression node: {e!r}")
@@ -626,26 +635,13 @@ def _diff(e: Expr, kind: str, index: int) -> Expr:
     if isinstance(e, Pow):
         du = _diff(e.base, kind, index)
         return mul(mul(Const(e.exponent), power(e.base, e.exponent - 1.0)), du)
-    u = e.arg
-    du = _diff(u, kind, index)
-    if e.fn == "sin":
-        return mul(func("cos", u), du)
-    if e.fn == "cos":
-        return neg(mul(func("sin", u), du))
-    if e.fn == "exp":
-        return mul(e, du)
-    if e.fn == "ln":
-        return div(du, u)
-    if e.fn == "sqrt":
-        return div(du, mul(Const(2), func("sqrt", u)))
-    # abs2 and conj are real-differentiable only; t is the one real variable
-    if kind != "t":
+    du = _diff(e.arg, kind, index)
+    _, rule, complex_ok = _function(e.fn)
+    if not complex_ok and kind != "t":
         raise ExpressionError(
             f"cannot differentiate {e.fn} with respect to the complex variable {kind}{index}"
         )
-    if e.fn == "conj":
-        return func("conj", du)
-    return add(mul(u, func("conj", du)), mul(func("conj", u), du))
+    return rule(e, e.arg, du)
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,7 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         + (prob.hbar**2 / (2.0 * prob.m)) * lap
         - evaluate(prob.potential, b) * psi
     )
-    res = np.broadcast_to(np.asarray(res, dtype=np.complex128), ts.shape)
-    return ResidualReport.from_samples(ts, np.array(res), 1.0 / ts.size)
+    return ResidualReport.from_samples(ts, res, 1.0 / ts.size)
 
 
 def _log_gradient_sum(prob: SchrodingerProblem, t, q):
@@ -223,17 +222,14 @@ def energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: ScaleParams)
     qv = sample(p, g1).values[core]
     vv = v_path.values[core]
     b = prob._bind(ts, tuple(qv.T))
-    potential = np.broadcast_to(
-        np.asarray(evaluate(prob.potential, b), dtype=np.complex128), ts.shape
-    )
+    potential = np.full(ts.shape, evaluate(prob.potential, b), dtype=np.complex128)
     v_squared = (vv**2).sum(axis=1)
     theorem = -(0.5 * prob.m) * v_squared - potential
     grad_sum = _log_gradient_sum(prob, ts, tuple(qv.T))
     variant = 2.0 * prob.m * (prob.gamma * grad_sum) ** 2 + potential
-    variant = np.broadcast_to(np.asarray(variant, dtype=np.complex128), ts.shape)
     return EnergyReport(
-        theorem=NoetherReport.from_samples(ts, np.array(theorem)),
-        variant=NoetherReport.from_samples(ts, np.array(variant)),
+        theorem=NoetherReport.from_samples(ts, theorem),
+        variant=NoetherReport.from_samples(ts, variant),
     )
 
 

@@ -210,6 +210,13 @@ def _eval_columns(exprs, params, ts, qvals, vvals=None) -> np.ndarray:
     return np.stack([_eval_samples(e, params, ts, qvals, vvals) for e in exprs], axis=1)
 
 
+def _momentum_energy(Lg: LagrangianSpec, ts, qvals, vvals):
+    """The momentum dL/dv, (N, d), and the energy term L - dL/dv . v, (N,), per node."""
+    lvals = _eval_samples(Lg.L, Lg.params, ts, qvals, vvals)
+    momentum = _eval_columns(Lg.grad_v, Lg.params, ts, qvals, vvals)
+    return momentum, lvals - (momentum * vvals).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -261,11 +268,7 @@ def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
 def dubois_reymond_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> ResidualReport:
     """Residual of the energy balance  box(L - dL/dv . v) - dL/dt = 0."""
     st = _path_state(Lg, p, sp, outer="energy")
-    lvals = _eval_samples(Lg.L, Lg.params, st.ts, st.q, st.v)
-    momentum_dot_v = np.zeros_like(lvals)
-    for k in range(Lg.dim):
-        momentum_dot_v += _eval_samples(Lg.grad_v[k], Lg.params, st.ts, st.q, st.v) * st.v[:, k]
-    energy = lvals - momentum_dot_v
+    _, energy = _momentum_energy(Lg, st.ts, st.q, st.v)
     ts, res = _boxed_samples(st, sp, energy[:, None], Lg.params, (Lg.dL_dt,))
     return ResidualReport.from_samples(ts, res, p.grid.h)
 
@@ -349,7 +352,6 @@ def noether_constant(
     momentum term carries xi, the energy term carries tau.
     """
     ts, qv, vv, tau, xi, _, _ = _generator_state(Lg, p, sym, sp, boxed=False)
-    lvals = _eval_samples(Lg.L, Lg.params, ts, qv, vv)
-    momentum = _eval_columns(Lg.grad_v, Lg.params, ts, qv, vv)
-    samples = (momentum * xi).sum(axis=1) + (lvals - (momentum * vv).sum(axis=1)) * tau
+    momentum, energy = _momentum_energy(Lg, ts, qv, vv)
+    samples = (momentum * xi).sum(axis=1) + energy * tau
     return NoetherReport.from_samples(ts, samples)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -198,6 +200,10 @@ def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field
         ("deriv_parabola", "grid.pad=1e300", "grid"),
         ("check_el_oscillator", "grid.b=1e-300", "grid"),
         ("check_el_oscillator", "grid.pad=1000000000000", "grid"),
+        # constants the library classes also check, read where the cli reads them
+        ("schrodinger_gaussian", "problem.hbar=-1", "problem.hbar"),
+        ("schrodinger_gaussian", "problem.m=0", "problem.m"),
+        ("noether_free_particle", "problem.s_step=0.5", "problem.s_step"),
     ],
 )
 def test_config_value_errors_name_their_field(tmp_path, capsys, config, override, field):
@@ -437,20 +443,62 @@ _TARGETS = [
 ]
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.sampled_from(_TARGETS), st.sampled_from(_HOSTILE))
-def test_hostile_field_values_exit_0_2_or_3(tmp_path_factory, target, value):
-    config, path = target
+def _run_hostile(workdir, config, path, value):
+    """Run config with value at path; the exit code must be 0, 2 or 3, an exit 2
+    must name a config field, and no RuntimeWarning may be emitted."""
     cfg = _with_params(config)
     node = cfg
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    workdir = tmp_path_factory.mktemp("hostile")
     cfg["output"] = str(workdir / "out")
     config_path = workdir / "config.json"
     config_path.write_text(json.dumps(cfg))
-    assert run(str(config_path)) in (0, 2, 3)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(str(config_path))
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert 'invalid field "' in err.getvalue() or 'missing field "' in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, err.getvalue()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(_TARGETS), st.sampled_from(_HOSTILE))
+def test_hostile_field_values_exit_0_2_or_3(tmp_path_factory, target, value):
+    config, path = target
+    _run_hostile(tmp_path_factory.mktemp("hostile"), config, path, value)
+
+
+# inputs whose grid geometry only a report or the holder series finds: they
+# once exited 2 naming no field, or warned and exited 3
+_GRID_FOUND_LATE = [
+    (config, path, value)
+    for config in BUNDLED
+    if config.stem != "holder_weierstrass"
+    for path, value in [
+        (("grid", "pad"), 0),
+        (("grid", "pad"), 1e-300),
+        (("scale", "epsilon"), 1e300),
+        (("scale", "epsilon"), 10**12),
+    ]
+] + [
+    (CONFIG_DIR / "holder_weierstrass.json", ("grid", "b"), 1e300),
+    (CONFIG_DIR / "holder_weierstrass.json", ("grid", "a"), -1e300),
+]
+
+
+@pytest.mark.parametrize(
+    "config, path, value",
+    _GRID_FOUND_LATE,
+    ids=[f"{c.stem}-{'.'.join(p)}={v!r}" for c, p, v in _GRID_FOUND_LATE],
+)
+def test_grid_geometry_found_late_names_the_grid(tmp_path, config, path, value):
+    code, err = _run_hostile(tmp_path, config, path, value)
+    assert code == 2
+    assert err.startswith('scalevar: invalid field "grid": ') and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,18 @@ def test_diff_abs2_along_time():
         assert abs(evaluate(d, Bindings(t=t)) - fd) < 1e-6
 
 
+@pytest.mark.parametrize("var", ["t", "q1"])
+def test_diff_of_an_unknown_function_raises(var):
+    # a Call built by hand bypasses func's check; diff must not apply another rule to it
+    e = Call("foo", Var("t", 0, "t") if var == "t" else Var("q", 1, "q1"))
+    with pytest.raises(ValidationError, match="unknown function 'foo'"):
+        diff(e, var)
+
+
+def test_function_names_keep_their_order():
+    assert FUNCTIONS == ("sin", "cos", "exp", "ln", "sqrt", "abs2", "conj")
+
+
 def test_diff_linearity_structural():
     e1 = parse("sin(q1)*t", 1)
     e2 = parse("q1^3", 1)

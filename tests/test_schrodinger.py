@@ -80,6 +80,14 @@ def test_velocity_zero_when_psi_position_independent():
     assert velocity_field(prob, 0.3, [0.8])[0] == 0.0
 
 
+def test_energy_forms_have_one_sample_per_node_for_constant_psi_and_potential():
+    # neither form depends on t or q here; both must still be sampled per node
+    prob = SchrodingerProblem("1", "0", 1.0, 1.0)
+    energy = energy_constant(prob, integrate_trajectory(prob, [0.5], GRID), SP)
+    assert energy.theorem.constant_samples.shape == (GRID.n + 1,)
+    assert energy.variant.constant_samples.shape == (GRID.n + 1,)
+
+
 def test_velocity_invariant_under_rescaling():
     # the quotient form cancels any constant prefactor of the wavefunction
     for lam in ("2", "(0.3+0.4*i)", "1.7"):

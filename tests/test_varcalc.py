@@ -416,3 +416,64 @@ def test_el_residual_keeps_negative_zeros():
     got = euler_lagrange_residual(FREE, _linear(), SP_DYADIC)
     assert same_result(got, reference_euler_lagrange_residual(FREE, _linear(), SP_DYADIC))
     assert np.signbit(got.residuals.real).all() and np.signbit(got.residuals.imag).all()
+
+
+def _complex_parts(re, im):
+    """A complex array with exactly these real and imaginary parts, signs of zeros kept."""
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+# Lagrangians whose values and momenta vanish on the zero-heavy paths below
+ZERO_LAGRANGIANS = LAGRANGIANS + (
+    lambda d: "0.5*(" + _sum_over(d, lambda k: f"v{k}^2") + ")",
+    lambda d: _sum_over(d, lambda k: f"q{k}*v{k}^2"),
+    lambda d: "-0.5*(" + _sum_over(d, lambda k: f"v{k}^2") + ")",
+    lambda d: "-(" + _sum_over(d, lambda k: f"q{k}*v{k}^2") + ")",
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mu", ["1", "-1", "0", "i", "-i"])
+def test_energy_term_matches_reference_on_signed_zeros(mu, dim):
+    # The DuBois-Reymond and Noether reports share one energy term L - dL/dv . v.
+    # On integer-valued real paths with repeated values and zeros, and on paths
+    # made of zeros of either sign, L, the momenta and their products are signed
+    # zeros at many nodes; the reports stay bitwise equal to the reference ones.
+    h = 2.0**-6
+    grid = make_grid(0.0, 8 * h, 8, 4 * h)
+    sp = ScaleParams(2 * h, mu)
+    rng = np.random.default_rng(dim)
+    shape = (grid.num_nodes, dim)
+    signed_zeros = lambda: np.copysign(0.0, rng.choice([-1.0, 1.0], shape))
+    paths = []
+    for _ in range(3):
+        paths.append(_complex_parts(rng.integers(-2, 3, shape).astype(float), np.zeros(shape)))
+        paths.append(_complex_parts(signed_zeros(), signed_zeros()))
+    for lagrangian in ZERO_LAGRANGIANS:
+        Lg = LagrangianSpec.from_text(lagrangian(dim), dim=dim)
+        for values in paths:
+            p = Path.from_samples(grid, values)
+            got = dubois_reymond_residual(Lg, p, sp)
+            assert same_result(got, reference_dubois_reymond_residual(Lg, p, sp))
+            for tau, xi in GENERATORS:
+                sym = SymmetrySpec.from_text(tau, [xi(k) for k in range(1, dim + 1)], dim=dim)
+                got = noether_constant(Lg, p, sym, sp)
+                assert same_result(got, reference_noether_constant(Lg, p, sym, sp))
+
+
+def test_energy_term_from_four_components_sums_in_numpy_order():
+    # numpy sums a row of four or more complex terms pairwise, where the reference
+    # DuBois-Reymond report adds them one by one, so the two may differ in the last bits
+    dim = 4
+    grid = make_grid(0.0, 1.0, 32, 4 / 32)
+    p = Path.from_samples(grid, dyadic_complex(np.random.default_rng(4), (grid.num_nodes, dim)))
+    sp = ScaleParams(2 / 32, "0")
+    Lg = LagrangianSpec.from_text(LAGRANGIANS[2](dim), dim=dim)
+    got = dubois_reymond_residual(Lg, p, sp).residuals
+    want = reference_dubois_reymond_residual(Lg, p, sp).residuals
+    # last-bit differences of an energy term of size 1, divided by epsilon
+    assert np.max(np.abs(got - want)) <= 1e-12
+    sym = SymmetrySpec.from_text("1", ["0"] * dim, dim=dim)
+    assert same_result(noether_constant(Lg, p, sym, sp), reference_noether_constant(Lg, p, sym, sp))
