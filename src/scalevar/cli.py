@@ -8,9 +8,10 @@ message names the field, and a grid or probe count over _MAX_NODES fails
 before any allocation), 3 numerical failure (NaN, divergence, degenerate
 data).  Each command returns a header, a float64 table and a summary; both
 texts are rendered and checked for finiteness before either file is written,
-so a failed run writes neither.  CSV numbers are repr() of the floats.  Files
-are written atomically (temp file, then rename), the CSV and summary as a
-pair, and are byte-identical across runs of the same config.
+so a failed run writes neither.  CSV numbers are repr() of the floats.  Both
+files are written in full into one temp directory beside the outputs, then
+renamed into place as a pair, and are byte-identical across runs of the same
+config.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _config_path(cfg, grid, params, dotted="problem.path") -> Path:
     ts = grid.nodes()
     b = Bindings(t=ts, q=(), v=(), params=params)
     cols = [np.broadcast_to(np.asarray(evaluate(e, b), dtype=np.complex128), ts.shape) for e in exprs]
-    return Path.from_samples(grid, np.stack(cols, axis=1), label="config path")
+    return Path.from_samples(grid, np.stack(cols, axis=1), label=dotted)
 
 
 def _path_problem(cfg):
@@ -234,67 +235,52 @@ def _config_lagrangian(cfg, params, dim) -> LagrangianSpec:
         return LagrangianSpec.from_text(text, dim=dim, params=params)
 
 
-def _config_symmetry(cfg, params, dim) -> SymmetrySpec:
+def _config_symmetry(cfg, params, dim, stepped=False) -> SymmetrySpec:
+    """The generators tau and xi, and with stepped the group-parameter step (invariance only)."""
     tau = _field(cfg, "problem.tau", str, what="an expression string")
     xi = _expr_list(cfg, "problem.xi")
     if len(xi) != dim:
         raise ValidationError(f'invalid field "problem.xi": expected {dim} components, got {len(xi)}')
-    s_step = _positive(cfg, "problem.s_step", most=0.1, default=1e-4)
+    step = {"s_step": _positive(cfg, "problem.s_step", most=0.1, default=1e-4)} if stepped else {}
     with _naming("problem.tau/problem.xi"):
-        return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, s_step=s_step)
+        return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, **step)
 
 
 # ---------------------------------------------------------------------------
 # Output writers
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to a fresh temp file beside path, then rename it over path.
-
-    The temp name is unique, so concurrent runs sharing a prefix do not
-    collide; the temp file is removed if anything fails before the rename.
-    """
-    parent = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give open()'s default mode
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _write_pair(prefix: str, csv_text: str, summary_text: str) -> None:
     """Write <prefix>.csv, then <prefix>.summary.json, so that the two change together.
 
-    Until the summary is in place, the previous CSV stays hard-linked in a
-    unique directory beside it.  If the summary cannot be written, that CSV
-    is put back, or the new CSV removed when there was none.
+    Both texts, and a hard link to the previous CSV, go into one unique
+    directory beside the outputs before either output is replaced; open()
+    gives the new files the default mode.  If the summary cannot be renamed
+    into place, the previous CSV is put back, or the new CSV removed when
+    there was none.
     """
-    csv_path = prefix + ".csv"
+    csv_path, summary_path = prefix + ".csv", prefix + ".summary.json"
     parent = os.path.dirname(csv_path) or "."
     os.makedirs(parent, exist_ok=True)
-    aside = tempfile.mkdtemp(dir=parent, prefix=os.path.basename(csv_path) + ".", suffix=".old")
-    old = os.path.join(aside, "csv")
+    staging = tempfile.mkdtemp(dir=parent, prefix=os.path.basename(csv_path) + ".", suffix=".tmp")
+    new_csv, new_summary, old_csv = (os.path.join(staging, n) for n in ("csv", "summary", "old"))
     try:
+        for path, text in ((new_csv, csv_text), (new_summary, summary_text)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         with contextlib.suppress(FileNotFoundError):
-            os.link(csv_path, old)
-        _atomic_write(csv_path, csv_text)
+            os.link(csv_path, old_csv)
+        os.replace(new_csv, csv_path)
         try:
-            _atomic_write(prefix + ".summary.json", summary_text)
+            os.replace(new_summary, summary_path)
         except BaseException:
-            if os.path.exists(old):
-                os.replace(old, csv_path)
+            if os.path.exists(old_csv):
+                os.replace(old_csv, csv_path)
             else:
                 os.unlink(csv_path)
             raise
     finally:
-        shutil.rmtree(aside, ignore_errors=True)
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _csv_text(header, table: np.ndarray) -> str:
@@ -338,17 +324,17 @@ def _table(ts, arrays) -> np.ndarray:
 # Commands
 
 
-def _per_node(ts, values, columns, **summary):
-    """Output of per-node samples: header t + columns, the (t, values) table, and
+def _per_node(ts, columns, arrays, **summary):
+    """Output of per-node samples: header t + columns, the (t, arrays...) table, and
     the summary with the node count."""
-    return ["t"] + columns, _table(ts, [values]), {"n_nodes": int(ts.size), **summary}
+    return ["t"] + columns, _table(ts, arrays), {"n_nodes": int(ts.size), **summary}
 
 
 def _pointwise(report: ResidualReport):
     """Output of per-node samples with their max |.| and h-weighted l2 norm."""
     dim = 1 if report.residuals.ndim == 1 else report.residuals.shape[1]
     return _per_node(
-        report.node_times, report.residuals, _complex_columns(dim),
+        report.node_times, _complex_columns(dim), [report.residuals],
         max_abs=report.max_abs, l2=report.l2,
     )
 
@@ -366,7 +352,7 @@ def _cmd_functional(cfg):
     Lg = _config_lagrangian(cfg, params, p.dim)
     ts, integrand, h = functional_integrand(Lg, p, sp)
     value = complex(trapezoid(integrand, h))
-    return _per_node(ts, integrand, _complex_columns(1), value_re=value.real, value_im=value.imag)
+    return _per_node(ts, _complex_columns(1), [integrand], value_re=value.real, value_im=value.imag)
 
 
 def _cmd_residual(cfg, report):
@@ -378,12 +364,12 @@ def _cmd_residual(cfg, report):
 def _cmd_invariance(cfg):
     sp, params, p = _path_problem(cfg)
     Lg = _config_lagrangian(cfg, params, p.dim)
-    sym = _config_symmetry(cfg, params, p.dim)
+    sym = _config_symmetry(cfg, params, p.dim, stepped=True)
     derivative = invariance_derivative(Lg, p, sym, sp)
     ts, integrand, h = invariance_integrand(Lg, p, sym, sp)
     integral = complex(trapezoid(integrand, h))
     return _per_node(
-        ts, integrand, _complex_columns(1),
+        ts, _complex_columns(1), [integrand],
         derivative_re=derivative.real,
         derivative_im=derivative.imag,
         integral_re=integral.real,
@@ -398,7 +384,7 @@ def _cmd_noether(cfg):
     sym = _config_symmetry(cfg, params, p.dim)
     report = noether_constant(Lg, p, sym, sp)
     return _per_node(
-        report.node_times, report.constant_samples, ["c_re", "c_im"],
+        report.node_times, ["c_re", "c_im"], [report.constant_samples],
         mean_re=report.mean.real,
         mean_im=report.mean.imag,
         drift=report.drift,
@@ -427,22 +413,19 @@ def _cmd_schrodinger(cfg):
     # core nodes of the energy window coincide with the grid core, so qs aligns
     qs = traj.path.values[grid.core]
     residual = schrodinger_residual(prob, thm.node_times, qs)
-    header = ["t"] + _complex_columns(dim) + ["c_thm_re", "c_thm_im", "c_var_re", "c_var_im"]
-    table = _table(thm.node_times, [qs, thm.constant_samples, var.constant_samples])
-    summary = {
-        "n_nodes": int(thm.node_times.size),
-        "residual_max_abs": residual.max_abs,
-        "drift_thm": thm.drift,
-        "mean_thm_re": thm.mean.real,
-        "mean_thm_im": thm.mean.imag,
-        "drift_variant": var.drift,
-        "mean_variant_re": var.mean.real,
-        "mean_variant_im": var.mean.imag,
-        "forms_max_difference": float(
-            np.max(np.abs(thm.constant_samples - var.constant_samples))
-        ),
-    }
-    return header, table, summary
+    return _per_node(
+        thm.node_times,
+        _complex_columns(dim) + ["c_thm_re", "c_thm_im", "c_var_re", "c_var_im"],
+        [qs, thm.constant_samples, var.constant_samples],
+        residual_max_abs=residual.max_abs,
+        drift_thm=thm.drift,
+        mean_thm_re=thm.mean.real,
+        mean_thm_im=thm.mean.imag,
+        drift_variant=var.drift,
+        mean_variant_re=var.mean.real,
+        mean_variant_im=var.mean.imag,
+        forms_max_difference=float(np.max(np.abs(thm.constant_samples - var.constant_samples))),
+    )
 
 
 def _cmd_holder(cfg):

@@ -75,6 +75,13 @@ class TimeGrid:
             raise ValidationError(f"grid needs n >= 2 interior steps, got n={self.n}")
         if self.pad_steps < 0:
             raise ValidationError(f"pad_steps must be >= 0, got {self.pad_steps}")
+        # index_of promises nodes to _NODE_TOL steps; floats must be that fine
+        spacing = math.ulp(max(abs(self.a - self.pad), abs(self.b + self.pad)))
+        if spacing > _NODE_TOL * self.h:
+            raise ValidationError(
+                f"step h={self.h!r} is too fine for distinct nodes: floats near the grid ends "
+                f"are {spacing!r} apart"
+            )
 
     @property
     def h(self) -> float:

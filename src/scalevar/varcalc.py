@@ -233,10 +233,10 @@ def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex
     return complex(trapezoid(integrand, h))
 
 
-def _boxed_samples(st: _PathState, sp: ScaleParams, inner: np.ndarray, params, rhs):
-    """Apply an outer scale derivative to per-node samples on the state's grid; return
-    the node times and box(inner) minus the rhs expressions on the window [a + eps, b - eps]."""
-    outer = scale_derivative_path(Path.from_samples(st.grid, inner), sp)
+def _boxed_samples(st: _PathState, sp: ScaleParams, label: str, inner: np.ndarray, params, rhs):
+    """Apply an outer scale derivative to per-node samples (named label) on the state's grid;
+    return the node times and box(inner) minus the rhs expressions on the window [a + eps, b - eps]."""
+    outer = scale_derivative_path(Path.from_samples(st.grid, inner, label=label), sp)
     g2 = outer.grid
     m = st.grid.pad_steps - g2.pad_steps
     inside = slice(m, st.grid.num_nodes - m)
@@ -261,7 +261,7 @@ def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     momentum = _eval_columns(Lg.grad_v, Lg.params, st.ts, st.q, st.v)
     # negate box(momentum) - dL/dq rather than subtract the other way: the
     # signs of zeros (-0.0 in the CSV) stay as they are
-    ts, res = _boxed_samples(st, sp, momentum, Lg.params, Lg.grad_q)
+    ts, res = _boxed_samples(st, sp, "momentum", momentum, Lg.params, Lg.grad_q)
     return ResidualReport.from_samples(ts, -res, p.grid.h)
 
 
@@ -269,7 +269,7 @@ def dubois_reymond_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     """Residual of the energy balance  box(L - dL/dv . v) - dL/dt = 0."""
     st = _path_state(Lg, p, sp, outer="energy")
     _, energy = _momentum_energy(Lg, st.ts, st.q, st.v)
-    ts, res = _boxed_samples(st, sp, energy[:, None], Lg.params, (Lg.dL_dt,))
+    ts, res = _boxed_samples(st, sp, "energy", energy[:, None], Lg.params, (Lg.dL_dt,))
     return ResidualReport.from_samples(ts, res, p.grid.h)
 
 
@@ -285,8 +285,8 @@ def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScalePa
     if not boxed:
         return (*st.core(), tau, xi, None, None)
     core = st.grid.core
-    dtau = scale_derivative_path(Path.from_samples(g, tau_all), sp).values[:, 0][core]
-    dxi = scale_derivative_path(Path.from_samples(g, xi_all), sp).values[core]
+    dtau = scale_derivative_path(Path.from_samples(g, tau_all, label="tau"), sp).values[:, 0][core]
+    dxi = scale_derivative_path(Path.from_samples(g, xi_all, label="xi"), sp).values[core]
     return (*st.core(), tau, xi, dtau, dxi)
 
 

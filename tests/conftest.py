@@ -24,7 +24,6 @@ from scalevar import (
     scale_derivative_path,
     trapezoid,
 )
-from scalevar.cli import _atomic_write
 from scalevar.lagdsl import BinOp, Const, Neg, Pow, Var
 
 
@@ -174,7 +173,8 @@ def reference_write_csv(prefix: str, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_ref_fmt_num(x) for x in row))
-    _atomic_write(prefix + ".csv", "\n".join(lines) + "\n")
+    with open(prefix + ".csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def reference_series_rows(ts, arrays):

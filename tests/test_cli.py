@@ -203,7 +203,9 @@ def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field
         # constants the library classes also check, read where the cli reads them
         ("schrodinger_gaussian", "problem.hbar=-1", "problem.hbar"),
         ("schrodinger_gaussian", "problem.m=0", "problem.m"),
-        ("noether_free_particle", "problem.s_step=0.5", "problem.s_step"),
+        ("invariance_time_translation", "problem.s_step=0.5", "problem.s_step"),
+        # floats near 1e15 are 0.125 apart, so 100 steps of 0.01 would share nodes
+        ("deriv_parabola", 'grid={"a": 1e15, "b": 1000000000000001.0, "n": 100, "pad": 0.02}', "grid"),
     ],
 )
 def test_config_value_errors_name_their_field(tmp_path, capsys, config, override, field):
@@ -212,6 +214,38 @@ def test_config_value_errors_name_their_field(tmp_path, capsys, config, override
     err = capsys.readouterr().err
     assert f'invalid field "{field}": ' in err
     assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
+def test_noether_does_not_read_the_group_parameter_step(tmp_path):
+    config = CONFIG_DIR / "noether_free_particle.json"
+    code, csv_path, summary_path = _run(tmp_path / "bundled", config)
+    assert code == 0
+    code, csv2, summary2 = _run(tmp_path / "stepped", config, "problem.s_step=0.5")
+    assert code == 0
+    assert (csv2.read_bytes(), summary2.read_bytes()) == (
+        csv_path.read_bytes(), summary_path.read_bytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "config, override, label",
+    [
+        ("invariance_time_translation", 'problem.tau="exp(800*q1)"', "tau"),
+        ("invariance_time_translation", 'problem.xi="exp(800*q1)"', "xi"),
+        ("check_el_oscillator", 'problem.L="exp(-900*v1)"', "momentum"),
+        ("check_dbr_oscillator", 'problem.path="1e300*t"', "energy"),
+        ("deriv_parabola", 'problem.path="exp(800*t)"', "problem.path"),
+    ],
+)
+def test_non_finite_intermediate_path_is_named(tmp_path, capsys, config, override, label):
+    # numpy warns before the path check; only the message is checked here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, csv_path, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", override)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: path {label!r} contains non-finite samples" in err
     assert not csv_path.exists()
 
 
@@ -307,6 +341,15 @@ def test_failed_summary_write_keeps_the_previous_pair(tmp_path, monkeypatch, cap
     code, fresh_csv, _ = _run(tmp_path / "fresh", config)
     assert code == 2
     assert list(fresh_csv.parent.iterdir()) == []
+
+
+def test_run_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    def refuse(mask):
+        raise AssertionError("os.umask changes a process-wide setting")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    code, csv_path, summary_path = _run(tmp_path, CONFIG_DIR / "deriv_parabola.json")
+    assert code == 0 and csv_path.exists() and summary_path.exists()
 
 
 def test_outputs_keep_the_default_file_mode(tmp_path):

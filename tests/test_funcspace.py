@@ -70,6 +70,9 @@ def test_grid_rejects_bad_parameters():
         make_grid(0.0, 1.0, 10.5, 0.0)
     with pytest.raises(ValidationError, match="not a finite number of steps"):
         make_grid(0.0, 1e-300, 100, 1e300)
+    # floats near 1e15 are 0.125 apart: a step of 0.01 cannot give distinct nodes
+    with pytest.raises(ValidationError, match="too fine for distinct nodes"):
+        make_grid(1e15, 1e15 + 1, 100, 0.0)
 
 
 def test_grid_index_and_steps():
