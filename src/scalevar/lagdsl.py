@@ -28,19 +28,28 @@ Each function is one row of a table, _FUNCTIONS: its numpy evaluation, its
 derivative rule and whether that rule holds along q and v.  FUNCTIONS lists
 the names in table order.
 
-Evaluation model: compile(e) lowers an expression once to a tree of Python
-closures, one per node, that takes Bindings and returns the value.
-evaluate(e, b) is compile(e)(b), with no cache, so a loop that evaluates the
-same expression many times (an integrator stage, a pointwise sweep) should
-compile once and hold the closure.  The closures keep the guards of
-evaluation: division by zero (left out where the denominator is a nonzero
-constant), ln(0), a zero base under a negative integer power, unbound
-parameters and missing q/v components all raise when the closure is called.
+Evaluation model: compile(e) lowers an expression once to the source of one
+Python function of Bindings, with no recursion: each distinct node is
+computed once per call, a node used once is inlined into its parent's
+expression, and each variable is read once.  compile_all(exprs) lowers
+several expressions into one function that returns a tuple, so a subtree
+they share is computed once.  Code objects are cached by source text, and
+expressions of the same shape share one.  evaluate(e, b) is compile(e)(b),
+so a loop that evaluates the same expression many times (an integrator
+stage, a pointwise sweep) should compile once and hold the function.  The
+function keeps the guards of evaluation: division by zero (left out where
+the denominator is a nonzero constant), ln(0), a zero base under a negative
+integer power, unbound parameters and missing q/v components all raise when
+it is called.  A missing variable is reported before anything is computed;
+of the other guards, the first to fire is the one a walk of the tree, left
+to right and children first, would meet first.
 """
 
 from __future__ import annotations
 
+import builtins
 import cmath
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -62,6 +71,7 @@ __all__ = [
     "MAX_DEPTH",
     "parse",
     "compile",
+    "compile_all",
     "evaluate",
     "diff",
     "format_expr",
@@ -131,12 +141,22 @@ Expr = Union[Const, Var, Neg, BinOp, Pow, Call]
 # Deepest expression parse accepts, in parser nesting and in tree height.
 # The parser recurses six frames per level of parentheses or function call
 # (unary, power, atom, and expr three times: once per precedence level and
-# once to reach the operand), one per sign and two per exponent; diff,
-# format_expr, compile and the compiled closures recurse one frame per tree
-# level, and a second derivative can be six times deeper than its expression
-# (a chain of quotients).  At 100 every pass stays near 600 frames, inside
-# Python's default recursion limit of 1000.
+# once to reach the operand), one per sign and two per exponent; diff and
+# format_expr recurse one frame per tree level, and a second derivative can
+# be six times deeper than its expression (a chain of quotients).  At 100
+# every pass stays near 600 frames, inside Python's default recursion limit
+# of 1000.  compile and the functions it makes do not recurse.
 MAX_DEPTH = 100
+
+
+def _operands(e: Expr) -> tuple:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
 
 
 def _walk(e: Expr):
@@ -145,12 +165,7 @@ def _walk(e: Expr):
     while stack:
         node, level = stack.pop()
         yield node, level
-        if isinstance(node, BinOp):
-            stack += ((node.left, level + 1), (node.right, level + 1))
-        elif isinstance(node, (Neg, Call)):
-            stack.append((node.arg, level + 1))
-        elif isinstance(node, Pow):
-            stack.append((node.base, level + 1))
+        stack += ((x, level + 1) for x in _operands(node))
 
 
 def _depth(e: Expr) -> int:
@@ -486,35 +501,179 @@ def _function(fn: str):
     return _FUNCTIONS[fn]
 
 
-def _lower_var(e: Var):
-    if e.kind == "t":
-        return lambda b: _coerce(b.t)
-    name = e.name
-    if e.kind == "param":
+def _div(lhs, rhs):
+    if np.any(rhs == 0):
+        raise NumericalError("division by zero")
+    return lhs / rhs
 
-        def param(b):
-            if name not in b.params:
-                raise ValidationError(f"unbound parameter {name!r}")
-            return _coerce(b.params[name])
 
-        return param
-    kind, index = e.kind, e.index
+def _power(c: float):
+    """z -> z^c as _pow_fn takes it, with a Python overflow as a NumericalError."""
+    pw = _pow_fn(c)
 
-    def component(b):
-        seq = b.q if kind == "q" else b.v
-        if len(seq) < index:
+    def raise_to(z):
+        try:
+            return pw(z)
+        except OverflowError:  # a Python scalar power overflows where numpy gives inf
+            raise NumericalError(f"overflow in power ^{c:g}") from None
+
+    return raise_to
+
+
+def _unbound(b: Bindings, variables) -> None:
+    """Raise for the first of the variables (Var nodes) that b does not supply."""
+    for e in variables:
+        if e.kind == "param":
+            if e.name not in b.params:
+                raise ValidationError(f"unbound parameter {e.name!r}")
+            continue
+        seq = b.q if e.kind == "q" else b.v
+        if len(seq) < e.index:
             raise ValidationError(
-                f"binding supplies {len(seq)} {kind} components, {name} needs {index}"
+                f"binding supplies {len(seq)} {e.kind} components, {e.name} needs {e.index}"
             )
-        return _coerce(seq[index - 1])
 
-    return component
+
+# What every compiled program may call, bound in its globals under these names.
+_RUNTIME = {"_coerce": _coerce, "_div": _div, "_unbound": _unbound}
+
+# Deepest nesting of one inlined expression in a program's source; a node
+# any deeper gets a name of its own.  This keeps the source far inside
+# CPython's limit of 200 nested parentheses, with no recursion in the program.
+_INLINE_NESTING = 32
+
+
+def _emit(roots) -> tuple:
+    """Body of one Python function of Bindings b that computes every root.
+
+    Returns (lines, one expression per root, globals).  Each distinct node
+    (keyed by identity, never by value: Const(1.0) == Const(1+0j)) is
+    computed once: one used once is inlined into its parent's expression, so
+    numpy can reuse its temporary; a shared one, a root used inside another
+    root, or one nested past _INLINE_NESTING, is assigned to a local.  Each
+    variable is read once, at the top, after one test that the bindings
+    supply them all.  Constants and callables live in the globals and reach
+    the source only as names; parameter names reach it through repr.  The
+    other guards fire in the order a walk of the roots (left to right,
+    children first) meets them: before a local is assigned through a guard,
+    every pending inlined expression that can raise is assigned first.
+    """
+    uses = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        seen = id(node) in uses
+        uses[id(node)] = uses.get(id(node), 0) + 1
+        if not seen:
+            stack += _operands(node)
+
+    env = dict(_RUNTIME)
+    global_names = {}  # id(object) -> its name in env
+    reads, lines = [], []
+    variables = {}  # (kind, name, index) -> local
+    done = {}  # id(node) -> (source, nesting, may raise); nesting 0 is a bare name
+    pending = []  # ids of inlined expressions no parent has taken yet, in order
+
+    def bind(obj) -> str:
+        name = global_names.get(id(obj))
+        if name is None:
+            name = global_names[id(obj)] = f"_g{len(global_names)}"
+            env[name] = obj
+        return name
+
+    def assign(source: str, to=lines) -> str:
+        name = f"_{len(reads) + len(lines)}"
+        to.append(f"{name} = {source}")
+        return name
+
+    def read(e: Var) -> str:
+        key = (e.kind, e.name, e.index)
+        if key not in variables:
+            if e.kind == "t":
+                source = "b.t"
+            elif e.kind == "param":
+                source = f"b.params[{e.name!r}]"
+            else:
+                source = f"{'b.q' if e.kind == 'q' else 'b.v'}[{e.index - 1!r}]"
+            variables[key] = assign(f"_coerce({source})", reads), e
+        return variables[key][0]
+
+    def lower(e: Expr) -> tuple:
+        if isinstance(e, Const):
+            return bind(e.value), 0, False
+        if isinstance(e, Var):
+            return read(e), 0, False
+        args = [done[id(x)] for x in _operands(e)]
+        inlined = sum(1 for a in args if a[1])
+        if inlined:
+            del pending[-inlined:]
+        if isinstance(e, Neg):
+            source, raises = f"(-{args[0][0]})", False
+        elif isinstance(e, BinOp):
+            lhs, rhs = args[0][0], args[1][0]
+            if e.op != "/" or (isinstance(e.right, Const) and e.right.value != 0):
+                source, raises = f"({lhs} {e.op} {rhs})", False
+            else:
+                source, raises = f"_div({lhs}, {rhs})", True
+        elif isinstance(e, Pow):
+            source, raises = f"{bind(_power(e.exponent))}({args[0][0]})", True
+        elif isinstance(e, Call):
+            source, raises = f"{bind(_function(e.fn)[0])}({args[0][0]})", True
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        nesting = 1 + max(a[1] for a in args)
+        raises = raises or any(a[2] for a in args)
+        if uses[id(e)] == 1 and nesting <= _INLINE_NESTING:
+            pending.append(id(e))
+            return source, nesting, raises
+        if raises:  # what precedes e in the tree walk must raise first
+            for k in [k for k in pending if done[k][2]]:
+                done[k] = assign(done[k][0]), 0, False
+                pending.remove(k)
+        return assign(source), 0, False
+
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in done:
+                continue
+            if ready:
+                done[id(node)] = lower(node)
+            else:
+                stack.append((node, True))
+                stack += ((x, False) for x in reversed(_operands(node)))
+    # one test of the bindings up front; _unbound finds which read would fail first
+    read_vars = tuple(e for _, e in variables.values() if e.kind != "t")
+    checks, sizes = [], {}
+    for e in read_vars:
+        if e.kind == "param":
+            checks.append(f"{e.name!r} not in b.params")
+        else:
+            seq = "b.q" if e.kind == "q" else "b.v"
+            sizes[seq] = max(sizes.get(seq, 0), e.index)
+    checks += [f"len({seq}) < {n!r}" for seq, n in sizes.items()]
+    guard = [f"if {' or '.join(checks)}: _unbound(b, {bind(read_vars)})"] if checks else []
+    return guard + reads + lines, [done[id(r)][0] for r in roots], env
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    return builtins.compile(source, "<lagdsl program>", "exec")
+
+
+def _program(roots, joint: bool):
+    lines, results, env = _emit(roots)
+    value = f"({', '.join(results)},)" if joint else results[0]
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(_code(f"def program(b):\n{body}    return {value}\n"), env)
+    return env.pop("program")  # so the function and its globals form no cycle
 
 
 def compile(e: Expr):
-    """Lower e once to a closure b -> value over Bindings.
+    """Lower e once to a function b -> value over Bindings.
 
-    The closure performs the same operations on the same operand types as
+    The function performs the same operations on the same operand types as
     the expression prescribes, node by node, so its results are bitwise
     reproducible: constants come back as stored, variables pass through
     complex coercion, integer powers use Python's integer power.  Guards
@@ -522,75 +681,23 @@ def compile(e: Expr):
     denominator, where it cannot fire), ln(0), a zero base under a negative
     power, unbound parameters and missing q/v components.
     """
-    return _lower(e, {})
+    return _program((e,), joint=False)
 
 
-def _lower(e: Expr, done: dict):
-    # Subtrees that diff() shares by reference are lowered once (keyed by
-    # identity, never by value: Const(1.0) == Const(1+0j)), so lowering a
-    # derivative costs its distinct nodes, not its expanded size.
-    fn = done.get(id(e))
-    if fn is not None:
-        return fn
-    if isinstance(e, Const):
-        value = e.value
-        fn = lambda b: value
-    elif isinstance(e, Var):
-        fn = _lower_var(e)
-    elif isinstance(e, Neg):
-        arg = _lower(e.arg, done)
-        fn = lambda b: -arg(b)
-    elif isinstance(e, BinOp):
-        fn = _lower_binop(e, _lower(e.left, done), _lower(e.right, done))
-    elif isinstance(e, Pow):
-        fn = _lower_pow(e, _lower(e.base, done))
-    elif isinstance(e, Call):
-        impl, arg = _function(e.fn)[0], _lower(e.arg, done)
-        fn = lambda b: impl(arg(b))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    done[id(e)] = fn
-    return fn
+def compile_all(exprs):
+    """Lower several expressions to one function b -> tuple of their values.
 
-
-def _lower_pow(e: Pow, base):
-    pw = _pow_fn(e.exponent)
-
-    def raise_to(b):
-        z = base(b)
-        try:
-            return pw(z)
-        except OverflowError:  # a Python scalar power overflows where numpy gives inf
-            raise NumericalError(f"overflow in power ^{e.exponent:g}") from None
-
-    return raise_to
-
-
-def _lower_binop(e: BinOp, left, right):
-    if e.op == "+":
-        return lambda b: left(b) + right(b)
-    if e.op == "-":
-        return lambda b: left(b) - right(b)
-    if e.op == "*":
-        return lambda b: left(b) * right(b)
-    if isinstance(e.right, Const) and e.right.value != 0:
-        den = e.right.value
-        return lambda b: left(b) / den
-
-    def divide(b):
-        lhs = left(b)
-        rhs = right(b)
-        if np.any(rhs == 0):
-            raise NumericalError("division by zero")
-        return lhs / rhs
-
-    return divide
+    A subtree the expressions share is computed once per call.  Each value
+    has the bits compile(e)(b) gives; when any expression fails, the call
+    raises what evaluating them one after another would raise first.
+    """
+    return _program(tuple(exprs), joint=True)
 
 
 def evaluate(e: Expr, b: Bindings):
     """Evaluate to a complex scalar, or an array when bindings carry arrays.
 
-    Equivalent to compile(e)(b); compile once and keep the closure when the
+    Equivalent to compile(e)(b); compile once and keep the function when the
     same expression is evaluated repeatedly.
     """
     return compile(e)(b)

@@ -22,6 +22,7 @@ both are reported.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,15 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .funcspace import Path, TimeGrid, sample
-from .lagdsl import Bindings, compile, diff, evaluate, free_variables, parse, references_velocity
+from .lagdsl import (
+    Bindings,
+    compile_all,
+    diff,
+    evaluate,
+    free_variables,
+    parse,
+    references_velocity,
+)
 from .scaleops import ScaleParams, scale_derivative_path
 from .varcalc import NoetherReport, ResidualReport
 
@@ -54,8 +63,8 @@ class SchrodingerProblem:
     psi is an expression over (t, q1..qd), the potential over (q1..qd) only;
     hbar and m are positive reals and gamma = hbar/(2m) is derived exactly.
     Symbolic partials of psi (time, gradient, diagonal second derivatives)
-    are precomputed once, and psi and its gradient are compiled once for the
-    pointwise calls of the trajectory integrator.
+    are precomputed once, and psi with its gradient is compiled once, into
+    one program, for the pointwise calls of the trajectory integrator.
     """
 
     def __init__(self, psi, potential, hbar: float, m: float, dim: int = 1, params=None):
@@ -79,24 +88,47 @@ class SchrodingerProblem:
         self.psi_t = diff(self.psi, "t")
         self.psi_q = tuple(diff(self.psi, f"q{k + 1}") for k in range(self.dim))
         self.psi_qq = tuple(diff(self.psi_q[k], f"q{k + 1}") for k in range(self.dim))
-        self._psi_fn = compile(self.psi)
-        self._psi_q_fns = tuple(compile(d) for d in self.psi_q)
+        self._psi_and_gradient = compile_all((self.psi, *self.psi_q))
 
     def _bind(self, t, q) -> Bindings:
         return Bindings(t=t, q=tuple(q), v=(), params=self.params)
 
     def psi_values(self, t, q):
         """Psi(t, q), validated against the magnitude floor."""
-        return self._psi_checked(self._bind(t, q))
+        return _above_floor(evaluate(self.psi, self._bind(t, q)))
 
-    def _psi_checked(self, b: Bindings):
-        psi = self._psi_fn(b)
-        smallest = np.min(np.abs(psi)) if isinstance(psi, np.ndarray) else abs(psi)
-        if smallest <= _PSI_FLOOR:
-            raise NumericalError(
-                f"wavefunction magnitude at or below {_PSI_FLOOR} on the probed region"
-            )
-        return psi
+    def _psi_first(self, program, b: Bindings) -> tuple:
+        """program(b), where the program's first value is Psi, with Psi checked.
+
+        A failure or collapse of Psi is reported first, as evaluating Psi on
+        its own before the rest would report it.
+        """
+        try:
+            values = program(b)
+        except NumericalError:
+            _above_floor(evaluate(self.psi, b))
+            raise
+        _above_floor(values[0])
+        return values
+
+
+def _above_floor(psi):
+    if isinstance(psi, np.ndarray):
+        smallest = np.min(np.abs(psi))
+    else:  # complex abs raises OverflowError where |psi| overflows; hypot gives inf
+        smallest = math.hypot(psi.real, psi.imag)
+    if smallest <= _PSI_FLOOR:
+        raise NumericalError(
+            f"wavefunction magnitude at or below {_PSI_FLOOR} on the probed region"
+        )
+    return psi
+
+
+def _check_bounded(y: tuple) -> None:
+    """Divergence check of one RK4 stage; hypot, where complex abs could overflow."""
+    for z in y:
+        if not cmath.isfinite(z) or math.hypot(z.real, z.imag) > _DIVERGENCE_LIMIT:
+            raise NumericalError("trajectory divergence: |q| exceeded 1e6")
 
 
 @dataclass(frozen=True)
@@ -135,27 +167,29 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         raise ValidationError(
             f"probe positions have shape {qs.shape}, expected ({ts.size}, {prob.dim})"
         )
-    b = prob._bind(ts, qs.T)
-    psi = prob._psi_checked(b)
+    program = compile_all((prob.psi, *prob.psi_qq, prob.psi_t, prob.potential))
+    psi, *values = prob._psi_first(program, prob._bind(ts, qs.T))
     lap = np.zeros(ts.shape, dtype=np.complex128)
-    for k in range(prob.dim):
-        lap = lap + evaluate(prob.psi_qq[k], b)
-    res = (
-        1j * prob.hbar * evaluate(prob.psi_t, b)
-        + (prob.hbar**2 / (2.0 * prob.m)) * lap
-        - evaluate(prob.potential, b) * psi
-    )
+    for psi_qq in values[: prob.dim]:
+        lap = lap + psi_qq
+    psi_t, potential = values[prob.dim :]
+    res = 1j * prob.hbar * psi_t + (prob.hbar**2 / (2.0 * prob.m)) * lap - potential * psi
     return ResidualReport.from_samples(ts, res, 1.0 / ts.size)
 
 
 def _log_gradient_sum(prob: SchrodingerProblem, t, q):
     """sum_k (dPsi/dq_k)/Psi in quotient form, branch-free."""
-    b = prob._bind(t, q)
-    psi = prob._psi_checked(b)
+    psi, *grad = prob._psi_first(prob._psi_and_gradient, prob._bind(t, q))
     total = 0.0 + 0.0j
-    for dq in prob._psi_q_fns:
-        total = total + dq(b) / psi
+    for dq in grad:
+        total = total + dq / psi
     return total
+
+
+def _velocity(prob: SchrodingerProblem, b: Bindings) -> tuple:
+    values = prob._psi_first(prob._psi_and_gradient, b)
+    psi, c = values[0], -2j * prob.gamma
+    return tuple([c * dq / psi for dq in values[1:]])
 
 
 def velocity_field(prob: SchrodingerProblem, t: float, q) -> np.ndarray:
@@ -163,19 +197,21 @@ def velocity_field(prob: SchrodingerProblem, t: float, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128).ravel()
     if q.size != prob.dim:
         raise ValidationError(f"position has {q.size} components, expected {prob.dim}")
-    b = prob._bind(t, q)
-    psi = prob._psi_checked(b)
-    return np.array(
-        [-2j * prob.gamma * dq(b) / psi for dq in prob._psi_q_fns], dtype=np.complex128
-    )
+    return np.array(_velocity(prob, prob._bind(t, q)), dtype=np.complex128)
 
 
-def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
+    half, sixth = 0.5 * h, h / 6.0
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + half, tuple([a + half * k for a, k in zip(y, k1)]))
+    k3 = rhs(t + half, tuple([a + half * k for a, k in zip(y, k2)]))
+    k4 = rhs(t + h, tuple([a + h * k for a, k in zip(y, k3)]))
+    return tuple(
+        [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+    )
 
 
 def integrate_trajectory(prob: SchrodingerProblem, q0, grid: TimeGrid) -> Trajectory:
@@ -183,27 +219,28 @@ def integrate_trajectory(prob: SchrodingerProblem, q0, grid: TimeGrid) -> Trajec
 
     q0 anchors the trajectory at t = a; nodes right of a are reached forward,
     the left padding backward.  Aborts on wavefunction collapse under the
-    magnitude floor or on divergence (|q| > 1e6).
+    magnitude floor or on divergence (|q| > 1e6), both checked at every
+    stage.  The state is a tuple of Python complex numbers, one per
+    component, with one Bindings per stage.
     """
     q0 = np.asarray(q0, dtype=np.complex128).ravel()
     if q0.size != prob.dim:
         raise ValidationError(f"q0 has {q0.size} components, expected {prob.dim}")
 
     def rhs(t, y):
-        if not np.isfinite(y).all() or np.max(np.abs(y)) > _DIVERGENCE_LIMIT:
-            raise NumericalError("trajectory divergence: |q| exceeded 1e6")
-        return velocity_field(prob, t, y)
+        _check_bounded(y)
+        return _velocity(prob, Bindings(t=t, q=y, v=(), params=prob.params))
 
-    ts = grid.nodes()
-    out = np.empty((ts.size, prob.dim), dtype=np.complex128)
+    ts = grid.nodes().tolist()
+    rows = [()] * len(ts)
     anchor = grid.pad_steps
-    out[anchor] = q0
+    rows[anchor] = tuple(q0.tolist())
     h = grid.h
-    for i in range(anchor, ts.size - 1):
-        out[i + 1] = _rk4_step(rhs, ts[i], out[i], h)
+    for i in range(anchor, len(ts) - 1):
+        rows[i + 1] = _rk4_step(rhs, ts[i], rows[i], h)
     for i in range(anchor, 0, -1):
-        out[i - 1] = _rk4_step(rhs, ts[i], out[i], -h)
-    path = Path.from_samples(grid, out, label="trajectory")
+        rows[i - 1] = _rk4_step(rhs, ts[i], rows[i], -h)
+    path = Path.from_samples(grid, np.array(rows, dtype=np.complex128), label="trajectory")
     return Trajectory(path=path, q0=q0, grid=grid)
 
 

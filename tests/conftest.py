@@ -454,11 +454,13 @@ def reference_noether_constant(
 
 def _ref_log_gradient_sum(prob: SchrodingerProblem, t, q):
     """sum_k (dPsi/dq_k)/Psi in quotient form, branch-free."""
-    b = prob._bind(t, q)
-    psi = prob._psi_checked(b)
+    b = Bindings(t=t, q=tuple(q), v=(), params=prob.params)
+    psi = reference_evaluate(prob.psi, b)
+    if np.min(np.abs(psi)) <= 1e-12:
+        raise NumericalError("wavefunction magnitude at or below 1e-12 on the probed region")
     total = 0.0 + 0.0j
-    for dq in prob._psi_q_fns:
-        total = total + dq(b) / psi
+    for dq in prob.psi_q:
+        total = total + reference_evaluate(dq, b) / psi
     return total
 
 

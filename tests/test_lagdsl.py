@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_evaluate, same_bits
 from scalevar import ExpressionError, NumericalError, ScaleVarError, ValidationError
+from scalevar import lagdsl
 from scalevar.lagdsl import (
     FUNCTIONS,
     MAX_DEPTH,
@@ -22,6 +23,7 @@ from scalevar.lagdsl import (
     Var,
     add,
     compile,
+    compile_all,
     diff,
     div,
     evaluate,
@@ -476,6 +478,39 @@ def test_compiled_matches_reference_walk_bitwise(e, bs):
         _assert_same_as_reference(e, b, closure)
 
 
+@st.composite
+def _shared_roots(draw):
+    """Trees, then roots built from them by reference: sums, products and
+    quotients of two trees and t-derivatives, so the roots share subtrees."""
+    trees = draw(st.lists(_trees, min_size=1, max_size=3))
+    picks = st.integers(0, len(trees) - 1)
+    roots = list(trees)
+    for op, i, j in draw(st.lists(st.tuples(st.sampled_from("+-*/"), picks, picks), max_size=3)):
+        roots.append(BinOp(op, trees[i], trees[j]))
+    for i in draw(st.lists(picks, max_size=2)):
+        try:
+            roots.append(diff(trees[i], "t"))
+        except ExpressionError:  # the derivative folds a constant that is not finite
+            pass
+    return draw(st.permutations(roots))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(roots=_shared_roots(), bs=st.lists(_bindings(), min_size=2, max_size=2))
+def test_joint_program_matches_reference_walk_bitwise(roots, bs):
+    program = compile_all(roots)
+    for b in bs:
+        wants = [_outcome(lambda e=e: reference_evaluate(e, b)) for e in roots]
+        got = _outcome(lambda: program(b))
+        failures = [want for want in wants if want[0] == "error"]
+        if failures:  # what evaluating the roots one after another raises first
+            assert got == failures[0], (roots, b)
+            continue
+        assert got[0] == "value" and len(got[1]) == len(roots), (roots, b, got)
+        for value, want in zip(got[1], wants):
+            assert same_bits(value, want[1]), (roots, b, want[1], value)
+
+
 def _bundled_texts():
     """(text, dim) of every expression in the bundled configs."""
     for config in sorted(CONFIG_DIR.glob("*.json")):
@@ -633,6 +668,72 @@ def test_passes_recurse_six_times_deeper_than_the_cap():
     assert format_expr(e).count("/") == 6 * MAX_DEPTH
     assert compile(e)(Bindings(q=(1.0,))) == 1.0
     assert isinstance(diff(e, "q1"), BinOp)
+
+
+def _chain(make, depth: int):
+    """make applied depth times, starting from q1."""
+    e = Var("q", 1, "q1")
+    for _ in range(depth):
+        e = make(e)
+    return e
+
+
+_SIX_TIMES_THE_CAP = {
+    "left quotients": lambda e: BinOp("/", e, Var("q", 1, "q1")),
+    "right sums": lambda e: BinOp("+", Var("t", 0, "t"), e),
+    "calls": lambda e: Call("sin", e),
+    "signs": Neg,
+    "powers": lambda e: Pow(e, 1.0),
+}
+
+
+@pytest.mark.parametrize("make", _SIX_TIMES_THE_CAP.values(), ids=_SIX_TIMES_THE_CAP.keys())
+def test_programs_evaluate_six_times_deeper_than_the_cap(make):
+    # one inlined expression this deep would pass CPython's 200 nested
+    # parentheses; the program names a node every so many levels instead
+    e = _chain(make, 6 * MAX_DEPTH)
+    for b in (Bindings(t=0.25, q=(0.9,)), Bindings(t=np.ones(3), q=(np.array([0.9, -0.5, 2j]),))):
+        _assert_same_as_reference(e, b)
+
+
+def _sin_nodes(e):
+    """(distinct, spelled out): sin nodes of e counted by identity, and as
+    often as the tree reaches them."""
+    seen = {}  # id -> (node, sin nodes it spells out, itself included)
+
+    def spelled(node):
+        if id(node) not in seen:
+            below = [getattr(node, f) for f in ("left", "right", "arg", "base") if hasattr(node, f)]
+            own = isinstance(node, Call) and node.fn == "sin"
+            seen[id(node)] = node, own + sum(spelled(x) for x in below)
+        return seen[id(node)][1]
+
+    total = spelled(e)
+    return sum(isinstance(n, Call) and n.fn == "sin" for n, _ in seen.values()), total
+
+
+def test_a_call_evaluates_each_distinct_node_once(monkeypatch):
+    # the second derivative of a sin chain reaches the chain's nodes over and
+    # over; the program computes each distinct one once per call
+    calls = []
+    impl, rule, along_q = lagdsl._FUNCTIONS["sin"]
+
+    def counted(z):
+        calls.append(z)
+        return impl(z)
+
+    monkeypatch.setitem(lagdsl._FUNCTIONS, "sin", (counted, rule, along_q))
+    e = parse("sin(" * 20 + "q1" + ")" * 20, 1)
+    d2 = diff(diff(e, "q1"), "q1")
+    distinct, spelled = _sin_nodes(d2)
+    assert (distinct, spelled) == (39, 2680)
+    program = compile(d2)
+    assert calls == []
+    program(Bindings(q=(0.3,)))
+    assert len(calls) == distinct
+    calls.clear()
+    compile_all((e, d2))(Bindings(q=(np.array([0.3, 0.7]),)))
+    assert len(calls) == _sin_nodes(BinOp("+", e, d2))[0] == distinct + 1  # all but e's root sin
 
 
 _BEYOND_CAP = {

@@ -98,6 +98,47 @@ def test_velocity_invariant_under_rescaling():
     assert velocity_field(doubled, 0.4, [0.9])[0] == velocity_field(PLANE, 0.4, [0.9])[0]
 
 
+@pytest.mark.parametrize(
+    "prob",
+    [
+        PLANE,
+        GAUSS,
+        SchrodingerProblem("exp(-(q1^2 + 2*q2^2)/2)*exp(-i*1.5*t)", "0", 1.0, 1.0, dim=2),
+        SchrodingerProblem("(q1 + k)*exp(i*q1*t)", "0", 0.7, 1.3, params={"k": 0.5 - 0.25j}),
+    ],
+    ids=["plane", "gauss", "2-D", "params"],
+)
+def test_velocity_field_matches_reference_walk_bitwise(prob):
+    for t, q in ((0.0, 0.3), (0.7, -1.2 + 0.4j), (-0.4, 2.5 - 0.1j)):
+        q = [q, -q / 2][: prob.dim]
+        b = Bindings(t=t, q=tuple(q), v=(), params=prob.params)
+        psi = reference_evaluate(prob.psi, b)
+        want = np.array(
+            [-2j * prob.gamma * reference_evaluate(dq, b) / psi for dq in prob.psi_q],
+            dtype=np.complex128,
+        )
+        assert velocity_field(prob, t, q).tobytes() == want.tobytes()
+
+
+def test_psi_collapse_is_reported_before_its_gradient_fails():
+    # at q1 = 0 psi is 0, and its gradient 1/(2*sqrt(q1)) divides by zero
+    root = SchrodingerProblem("sqrt(q1)*exp(-i*t)", "0", 1.0, 1.0)
+    with pytest.raises(NumericalError, match="magnitude"):
+        velocity_field(root, 0.0, [0.0])
+    with pytest.raises(NumericalError, match="magnitude"):
+        integrate_trajectory(root, [0.0], GRID)
+    with pytest.raises(NumericalError, match="magnitude"):
+        schrodinger_residual(root, np.array([0.0, 0.5]), np.array([1.0, 0.0]))
+
+
+def test_floor_check_takes_an_overflowing_psi():
+    # psi is finite, but Python's complex abs of it raises OverflowError
+    huge = SchrodingerProblem("(1.5e308+1.5e308*i)*q1", "0", 1.0, 1.0)
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    assert huge.psi_values(0.0, [1.0]) == complex(1.5e308, 1.5e308)
+
+
 def test_velocity_requires_nonzero_psi():
     node = SchrodingerProblem("q1*exp(-i*t)", "0", 1.0, 1.0)
     with pytest.raises(NumericalError):
@@ -146,6 +187,17 @@ def test_trajectory_divergence_guard():
     g = make_grid(0.0, 10.0, 200, 0.0)
     with pytest.raises(NumericalError, match="divergence"):
         integrate_trajectory(runaway, [1.0], g)
+
+
+def test_divergence_check_takes_an_overflowing_modulus():
+    # |q| of a finite q overflows: Python's complex abs raises OverflowError here
+    for q0 in (1.7e308 + 1.7e308j, -1.5e308 + 1.5e308j):
+        with pytest.raises(OverflowError):
+            abs(complex(q0))
+        with pytest.raises(NumericalError, match="^trajectory divergence"):
+            integrate_trajectory(PLANE, [q0], GRID)
+    with pytest.raises(NumericalError, match="^trajectory divergence"):
+        integrate_trajectory(PLANE, [complex("nan")], GRID)
 
 
 def test_trajectory_q0_dimension_check():
