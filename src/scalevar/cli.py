@@ -101,12 +101,11 @@ def _real(cfg, dotted, default=_MISSING):
     return float(value)
 
 
-def _positive(cfg, dotted, most=None, default=_MISSING) -> float:
-    """A finite number in (0, most], or in (0, inf) when most is None."""
-    value = _real(cfg, dotted, default)
-    if not (value > 0 and (most is None or value <= most)):
-        bound = "a positive number" if most is None else f"a number in (0, {most}]"
-        raise ValidationError(f'invalid field "{dotted}": expected {bound}, got {value!r}')
+def _positive(cfg, dotted) -> float:
+    """A finite number in (0, inf)."""
+    value = _real(cfg, dotted)
+    if not value > 0:
+        raise ValidationError(f'invalid field "{dotted}": expected a positive number, got {value!r}')
     return value
 
 
@@ -241,9 +240,14 @@ def _config_symmetry(cfg, params, dim, stepped=False) -> SymmetrySpec:
     xi = _expr_list(cfg, "problem.xi")
     if len(xi) != dim:
         raise ValidationError(f'invalid field "problem.xi": expected {dim} components, got {len(xi)}')
-    step = {"s_step": _positive(cfg, "problem.s_step", most=0.1, default=1e-4)} if stepped else {}
+    s_step = _real(cfg, "problem.s_step", default=1e-4) if stepped else 1e-4
+    low, high = SymmetrySpec.S_STEP_RANGE
+    if not low <= s_step <= high:
+        raise ValidationError(
+            f'invalid field "problem.s_step": expected a number in [{low}, {high}], got {s_step!r}'
+        )
     with _naming("problem.tau/problem.xi"):
-        return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, **step)
+        return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, s_step=s_step)
 
 
 # ---------------------------------------------------------------------------

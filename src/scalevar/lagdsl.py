@@ -30,19 +30,19 @@ the names in table order.
 
 Evaluation model: compile(e) lowers an expression once to the source of one
 Python function of Bindings, with no recursion: each distinct node is
-computed once per call, a node used once is inlined into its parent's
-expression, and each variable is read once.  compile_all(exprs) lowers
-several expressions into one function that returns a tuple, so a subtree
-they share is computed once.  Code objects are cached by source text, and
-expressions of the same shape share one.  evaluate(e, b) is compile(e)(b),
-so a loop that evaluates the same expression many times (an integrator
-stage, a pointwise sweep) should compile once and hold the function.  The
-function keeps the guards of evaluation: division by zero (left out where
-the denominator is a nonzero constant), ln(0), a zero base under a negative
-integer power, unbound parameters and missing q/v components all raise when
-it is called.  A missing variable is reported before anything is computed;
-of the other guards, the first to fire is the one a walk of the tree, left
-to right and children first, would meet first.
+computed once per call and each variable is read once.  A node used once
+that cannot raise (+, -, *, negation, / by a nonzero constant) is inlined
+into its parent's expression; every power, function call and guarded
+division is a statement, in the order of a walk of the tree, left to right
+and children first.  compile_all(exprs) returns the values of several
+expressions as a tuple, computing a subtree they share once.  Code objects
+are cached by source text.  evaluate(e, b) is compile(e)(b); the classes
+that declare expressions (ScalarField, the varcalc specs, SchrodingerProblem)
+compile them once, at construction.  The function keeps the guards of
+evaluation: division by zero (left out where the denominator is a nonzero
+constant), ln(0), a zero base under a negative integer power, unbound
+parameters and missing q/v components raise when it is called: a missing
+variable first, then whichever guard the walk meets first.
 """
 
 from __future__ import annotations
@@ -548,31 +548,28 @@ def _emit(roots) -> tuple:
 
     Returns (lines, one expression per root, globals).  Each distinct node
     (keyed by identity, never by value: Const(1.0) == Const(1+0j)) is
-    computed once: one used once is inlined into its parent's expression, so
-    numpy can reuse its temporary; a shared one, a root used inside another
-    root, or one nested past _INLINE_NESTING, is assigned to a local.  Each
-    variable is read once, at the top, after one test that the bindings
-    supply them all.  Constants and callables live in the globals and reach
-    the source only as names; parameter names reach it through repr.  The
-    other guards fire in the order a walk of the roots (left to right,
-    children first) meets them: before a local is assigned through a guard,
-    every pending inlined expression that can raise is assigned first.
+    computed once.  A node that cannot raise (+, -, *, negation, / by a
+    nonzero constant) and is used once is inlined into its parent's
+    expression, so numpy can reuse its temporary; every other node, and one
+    nested past _INLINE_NESTING, is a statement assigning a local.  The
+    statements follow a walk of the roots (left to right, children first),
+    so the guards fire in the order that walk meets them.  Each variable is
+    read once, at the top, after one test that the bindings supply them all.
+    Constants and callables live in the globals and reach the source only as
+    names; parameter names reach it through repr.
     """
-    uses = {}
-    stack = list(roots)
+    uses, stack = {}, list(roots)
     while stack:
         node = stack.pop()
-        seen = id(node) in uses
         uses[id(node)] = uses.get(id(node), 0) + 1
-        if not seen:
+        if uses[id(node)] == 1:
             stack += _operands(node)
 
     env = dict(_RUNTIME)
     global_names = {}  # id(object) -> its name in env
     reads, lines = [], []
     variables = {}  # (kind, name, index) -> local
-    done = {}  # id(node) -> (source, nesting, may raise); nesting 0 is a bare name
-    pending = []  # ids of inlined expressions no parent has taken yet, in order
+    done = {}  # id(node) -> (source, nesting); nesting 0 is a bare name
 
     def bind(obj) -> str:
         name = global_names.get(id(obj))
@@ -581,56 +578,40 @@ def _emit(roots) -> tuple:
             env[name] = obj
         return name
 
-    def assign(source: str, to=lines) -> str:
+    def assign(source: str, to=lines) -> tuple:
         name = f"_{len(reads) + len(lines)}"
         to.append(f"{name} = {source}")
-        return name
+        return name, 0
 
-    def read(e: Var) -> str:
+    def read(e: Var) -> tuple:
         key = (e.kind, e.name, e.index)
         if key not in variables:
-            if e.kind == "t":
-                source = "b.t"
-            elif e.kind == "param":
-                source = f"b.params[{e.name!r}]"
-            else:
-                source = f"{'b.q' if e.kind == 'q' else 'b.v'}[{e.index - 1!r}]"
-            variables[key] = assign(f"_coerce({source})", reads), e
-        return variables[key][0]
+            source = {"t": "b.t", "param": f"b.params[{e.name!r}]"}.get(e.kind)
+            source = source or f"b.{e.kind}[{e.index - 1!r}]"  # b.q or b.v
+            variables[key] = assign(f"_coerce({source})", reads)[0], e
+        return variables[key][0], 0
 
     def lower(e: Expr) -> tuple:
         if isinstance(e, Const):
-            return bind(e.value), 0, False
+            return bind(e.value), 0
         if isinstance(e, Var):
-            return read(e), 0, False
+            return read(e)
         args = [done[id(x)] for x in _operands(e)]
-        inlined = sum(1 for a in args if a[1])
-        if inlined:
-            del pending[-inlined:]
+        if isinstance(e, (Pow, Call)):
+            fn = _power(e.exponent) if isinstance(e, Pow) else _function(e.fn)[0]
+            return assign(f"{bind(fn)}({args[0][0]})")
         if isinstance(e, Neg):
-            source, raises = f"(-{args[0][0]})", False
-        elif isinstance(e, BinOp):
-            lhs, rhs = args[0][0], args[1][0]
-            if e.op != "/" or (isinstance(e.right, Const) and e.right.value != 0):
-                source, raises = f"({lhs} {e.op} {rhs})", False
-            else:
-                source, raises = f"_div({lhs}, {rhs})", True
-        elif isinstance(e, Pow):
-            source, raises = f"{bind(_power(e.exponent))}({args[0][0]})", True
-        elif isinstance(e, Call):
-            source, raises = f"{bind(_function(e.fn)[0])}({args[0][0]})", True
-        else:
+            source = f"(-{args[0][0]})"
+        elif not isinstance(e, BinOp):
             raise TypeError(f"not an expression node: {e!r}")
+        elif e.op != "/" or (isinstance(e.right, Const) and e.right.value != 0):
+            source = f"({args[0][0]} {e.op} {args[1][0]})"
+        else:
+            return assign(f"_div({args[0][0]}, {args[1][0]})")
         nesting = 1 + max(a[1] for a in args)
-        raises = raises or any(a[2] for a in args)
         if uses[id(e)] == 1 and nesting <= _INLINE_NESTING:
-            pending.append(id(e))
-            return source, nesting, raises
-        if raises:  # what precedes e in the tree walk must raise first
-            for k in [k for k in pending if done[k][2]]:
-                done[k] = assign(done[k][0]), 0, False
-                pending.remove(k)
-        return assign(source), 0, False
+            return source, nesting
+        return assign(source)
 
     for root in roots:
         stack = [(root, False)]
@@ -645,14 +626,10 @@ def _emit(roots) -> tuple:
                 stack += ((x, False) for x in reversed(_operands(node)))
     # one test of the bindings up front; _unbound finds which read would fail first
     read_vars = tuple(e for _, e in variables.values() if e.kind != "t")
-    checks, sizes = [], {}
-    for e in read_vars:
-        if e.kind == "param":
-            checks.append(f"{e.name!r} not in b.params")
-        else:
-            seq = "b.q" if e.kind == "q" else "b.v"
-            sizes[seq] = max(sizes.get(seq, 0), e.index)
-    checks += [f"len({seq}) < {n!r}" for seq, n in sizes.items()]
+    checks = [f"{e.name!r} not in b.params" for e in read_vars if e.kind == "param"]
+    for kind in "qv":
+        n = max((e.index for e in read_vars if e.kind == kind), default=0)
+        checks += [f"len(b.{kind}) < {n!r}"] if n else []
     guard = [f"if {' or '.join(checks)}: _unbound(b, {bind(read_vars)})"] if checks else []
     return guard + reads + lines, [done[id(r)][0] for r in roots], env
 
@@ -664,7 +641,7 @@ def _code(source: str):
 
 def _program(roots, joint: bool):
     lines, results, env = _emit(roots)
-    value = f"({', '.join(results)},)" if joint else results[0]
+    value = f"({''.join(r + ', ' for r in results)})" if joint else results[0]
     body = "".join(f"    {line}\n" for line in lines)
     exec(_code(f"def program(b):\n{body}    return {value}\n"), env)
     return env.pop("program")  # so the function and its globals form no cycle
@@ -695,11 +672,7 @@ def compile_all(exprs):
 
 
 def evaluate(e: Expr, b: Bindings):
-    """Evaluate to a complex scalar, or an array when bindings carry arrays.
-
-    Equivalent to compile(e)(b); compile once and keep the function when the
-    same expression is evaluated repeatedly.
-    """
+    """compile(e)(b): a complex scalar, or an array when bindings carry arrays."""
     return compile(e)(b)
 
 
@@ -809,8 +782,8 @@ class ScalarField:
     """Twice-differentiable scalar function of (t, q1..qd) with symbolic partials.
 
     Velocity variables are rejected; the Hessian is the full matrix of second
-    q-derivatives, precomputed symbolically.  The value and every partial are
-    compiled once at construction.
+    q-derivatives, precomputed symbolically.  Value, time derivative, gradient
+    and row-major Hessian are four programs, compiled once at construction.
     """
 
     def __init__(self, expr: Expr, dim: int, params=None):
@@ -826,8 +799,8 @@ class ScalarField:
         )
         self._value = compile(self.expr)
         self._time = compile(self.expr_t)
-        self._grad = tuple(compile(g) for g in self.expr_grad)
-        self._hess = tuple(tuple(compile(h) for h in row) for row in self.expr_hess)
+        self._grad = compile_all(self.expr_grad)
+        self._hess = compile_all([h for row in self.expr_hess for h in row])
 
     @classmethod
     def from_text(cls, text: str, dim: int = 1, params=None) -> "ScalarField":
@@ -844,9 +817,8 @@ class ScalarField:
         return self._time(self._bind(t, q))
 
     def gradient(self, t, q) -> np.ndarray:
-        b = self._bind(t, q)
-        return np.array([g(b) for g in self._grad], dtype=np.complex128)
+        return np.array(self._grad(self._bind(t, q)), dtype=np.complex128)
 
     def hessian(self, t, q) -> np.ndarray:
-        b = self._bind(t, q)
-        return np.array([[h(b) for h in row] for row in self._hess], dtype=np.complex128)
+        flat = np.array(self._hess(self._bind(t, q)), dtype=np.complex128)
+        return flat.reshape((self.dim, self.dim) + flat.shape[1:])

@@ -32,9 +32,9 @@ from .errors import NumericalError, ValidationError
 from .funcspace import Path, TimeGrid, sample
 from .lagdsl import (
     Bindings,
+    compile,
     compile_all,
     diff,
-    evaluate,
     free_variables,
     parse,
     references_velocity,
@@ -63,8 +63,9 @@ class SchrodingerProblem:
     psi is an expression over (t, q1..qd), the potential over (q1..qd) only;
     hbar and m are positive reals and gamma = hbar/(2m) is derived exactly.
     Symbolic partials of psi (time, gradient, diagonal second derivatives)
-    are precomputed once, and psi with its gradient is compiled once, into
-    one program, for the pointwise calls of the trajectory integrator.
+    are precomputed, and every program the reports run compiled, once: psi,
+    the potential, psi with its gradient (for the trajectory integrator) and
+    the terms of the wave-equation residual.
     """
 
     def __init__(self, psi, potential, hbar: float, m: float, dim: int = 1, params=None):
@@ -88,14 +89,17 @@ class SchrodingerProblem:
         self.psi_t = diff(self.psi, "t")
         self.psi_q = tuple(diff(self.psi, f"q{k + 1}") for k in range(self.dim))
         self.psi_qq = tuple(diff(self.psi_q[k], f"q{k + 1}") for k in range(self.dim))
+        self._psi = compile(self.psi)
+        self._potential = compile(self.potential)
         self._psi_and_gradient = compile_all((self.psi, *self.psi_q))
+        self._residual_terms = compile_all((self.psi, *self.psi_qq, self.psi_t, self.potential))
 
     def _bind(self, t, q) -> Bindings:
         return Bindings(t=t, q=tuple(q), v=(), params=self.params)
 
     def psi_values(self, t, q):
         """Psi(t, q), validated against the magnitude floor."""
-        return _above_floor(evaluate(self.psi, self._bind(t, q)))
+        return _above_floor(self._psi(self._bind(t, q)))
 
     def _psi_first(self, program, b: Bindings) -> tuple:
         """program(b), where the program's first value is Psi, with Psi checked.
@@ -106,7 +110,7 @@ class SchrodingerProblem:
         try:
             values = program(b)
         except NumericalError:
-            _above_floor(evaluate(self.psi, b))
+            _above_floor(self._psi(b))
             raise
         _above_floor(values[0])
         return values
@@ -167,8 +171,7 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         raise ValidationError(
             f"probe positions have shape {qs.shape}, expected ({ts.size}, {prob.dim})"
         )
-    program = compile_all((prob.psi, *prob.psi_qq, prob.psi_t, prob.potential))
-    psi, *values = prob._psi_first(program, prob._bind(ts, qs.T))
+    psi, *values = prob._psi_first(prob._residual_terms, prob._bind(ts, qs.T))
     lap = np.zeros(ts.shape, dtype=np.complex128)
     for psi_qq in values[: prob.dim]:
         lap = lap + psi_qq
@@ -259,7 +262,7 @@ def energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: ScaleParams)
     qv = sample(p, g1).values[core]
     vv = v_path.values[core]
     b = prob._bind(ts, tuple(qv.T))
-    potential = np.full(ts.shape, evaluate(prob.potential, b), dtype=np.complex128)
+    potential = np.full(ts.shape, prob._potential(b), dtype=np.complex128)
     v_squared = (vv**2).sum(axis=1)
     theorem = -(0.5 * prob.m) * v_squared - potential
     grad_sum = _log_gradient_sum(prob, ts, tuple(qv.T))

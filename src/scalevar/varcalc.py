@@ -16,13 +16,15 @@ candidate path as data; nothing here solves the variational problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import GridError, NumericalError, ValidationError
 from .funcspace import Path, TimeGrid, sample
-from .lagdsl import Bindings, diff, evaluate, parse, references_velocity
+# evaluate stays bound here for bench/test_bench.py::test_tracer_patches_every_binding_and_restores_it
+from .lagdsl import Bindings, compile, diff, evaluate, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path, trapezoid
 
 __all__ = [
@@ -41,9 +43,19 @@ __all__ = [
 ]
 
 
+def _compile_fields(spec, names) -> None:
+    """Hold a program per expression of the named fields (a tuple for a tuple field)."""
+    programs = {}
+    for name in names:
+        value = getattr(spec, name)
+        programs[name] = tuple(map(compile, value)) if isinstance(value, tuple) else compile(value)
+    object.__setattr__(spec, "_programs", programs)
+
+
 @dataclass(frozen=True)
 class LagrangianSpec:
-    """Lagrangian L(t, q, v) with its symbolic partials dL/dt, dL/dq, dL/dv."""
+    """Lagrangian L(t, q, v) with its symbolic partials dL/dt, dL/dq, dL/dv,
+    each compiled once, at construction, for every report on the spec."""
 
     L: object
     dL_dt: object
@@ -51,6 +63,10 @@ class LagrangianSpec:
     grad_v: tuple
     dim: int
     params: dict
+    _programs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _compile_fields(self, ("L", "dL_dt", "grad_q", "grad_v"))
 
     @classmethod
     def from_text(cls, text: str, dim: int = 1, params=None) -> "LagrangianSpec":
@@ -71,22 +87,29 @@ class SymmetrySpec:
     """Generator pair (tau(t, q), xi(t, q)) with the group-parameter step.
 
     tau rescales time, xi displaces the path; neither may reference velocity
-    variables.  s_step is the central-difference step in the group parameter.
+    variables; each is compiled once, at construction.  s_step is the
+    central-difference step in the group parameter, in S_STEP_RANGE: below
+    about sqrt(machine epsilon) rounding error exceeds the step.
     """
+
+    S_STEP_RANGE: ClassVar[tuple] = (1e-8, 0.1)
 
     tau: object
     xi: tuple
     dim: int
     params: dict
     s_step: float = 1e-4
+    _programs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.s_step <= 0.1:
-            raise ValidationError(f"s_step must lie in (0, 0.1], got {self.s_step}")
+        low, high = self.S_STEP_RANGE
+        if not low <= self.s_step <= high:
+            raise ValidationError(f"s_step must lie in [{low}, {high}], got {self.s_step}")
         if len(self.xi) != self.dim:
             raise ValidationError(f"xi needs {self.dim} components, got {len(self.xi)}")
         if any(references_velocity(e) for e in (self.tau, *self.xi)):
             raise ValidationError("symmetry generators may not reference velocity variables")
+        _compile_fields(self, ("tau", "xi"))
 
     @classmethod
     def from_text(cls, tau_text: str, xi_texts, dim: int = 1, params=None, s_step: float = 1e-4):
@@ -192,28 +215,26 @@ def _path_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams, sym=None, outer=No
     return _PathState(g1, g1.nodes(), sample(p, g1).values, v_path.values)
 
 
-def _eval_samples(expr, params, ts, qvals, vvals=None) -> np.ndarray:
-    """Evaluate an expression on per-node arrays; constants broadcast to (N,)."""
+def _eval_samples(programs, params, ts, qvals, vvals=None) -> np.ndarray:
+    """Run compiled expressions on per-node arrays, constants broadcast: one program
+    gives (N,), a tuple of them the (N, k) array of their columns."""
     b = Bindings(
         t=ts,
         q=tuple(np.asarray(qvals, dtype=np.complex128).T),
         v=() if vvals is None else tuple(np.asarray(vvals, dtype=np.complex128).T),
         params=params,
     )
-    out = evaluate(expr, b)
     n = len(qvals)
-    return np.array(np.broadcast_to(np.asarray(out, dtype=np.complex128), (n,)))
-
-
-def _eval_columns(exprs, params, ts, qvals, vvals=None) -> np.ndarray:
-    """_eval_samples of each expression, stacked as the columns of an (N, len(exprs)) array."""
-    return np.stack([_eval_samples(e, params, ts, qvals, vvals) for e in exprs], axis=1)
+    column = lambda f: np.broadcast_to(np.asarray(f(b), dtype=np.complex128), (n,))
+    if isinstance(programs, tuple):
+        return np.stack([column(f) for f in programs], axis=1)
+    return np.array(column(programs))
 
 
 def _momentum_energy(Lg: LagrangianSpec, ts, qvals, vvals):
     """The momentum dL/dv, (N, d), and the energy term L - dL/dv . v, (N,), per node."""
-    lvals = _eval_samples(Lg.L, Lg.params, ts, qvals, vvals)
-    momentum = _eval_columns(Lg.grad_v, Lg.params, ts, qvals, vvals)
+    lvals = _eval_samples(Lg._programs["L"], Lg.params, ts, qvals, vvals)
+    momentum = _eval_samples(Lg._programs["grad_v"], Lg.params, ts, qvals, vvals)
     return momentum, lvals - (momentum * vvals).sum(axis=1)
 
 
@@ -224,7 +245,7 @@ def _momentum_energy(Lg: LagrangianSpec, ts, qvals, vvals):
 def functional_integrand(Lg: LagrangianSpec, p: Path, sp: ScaleParams):
     """Per-node samples of L(t, q, box q) on the core window [a, b]."""
     ts, qv, vv = _path_state(Lg, p, sp).core()
-    return ts, _eval_samples(Lg.L, Lg.params, ts, qv, vv), p.grid.h
+    return ts, _eval_samples(Lg._programs["L"], Lg.params, ts, qv, vv), p.grid.h
 
 
 def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex:
@@ -235,13 +256,13 @@ def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex
 
 def _boxed_samples(st: _PathState, sp: ScaleParams, label: str, inner: np.ndarray, params, rhs):
     """Apply an outer scale derivative to per-node samples (named label) on the state's grid;
-    return the node times and box(inner) minus the rhs expressions on the window [a + eps, b - eps]."""
+    return the node times and box(inner) minus the rhs programs on the window [a + eps, b - eps]."""
     outer = scale_derivative_path(Path.from_samples(st.grid, inner, label=label), sp)
     g2 = outer.grid
     m = st.grid.pad_steps - g2.pad_steps
     inside = slice(m, st.grid.num_nodes - m)
     ts2 = g2.nodes()
-    res = outer.values - _eval_columns(rhs, params, ts2, st.q[inside], st.v[inside])
+    res = outer.values - _eval_samples(rhs, params, ts2, st.q[inside], st.v[inside])
     if g2.n <= 2 * m:
         raise GridError("grid too coarse: the window [a+eps, b-eps] is empty")
     w = slice(g2.pad_steps + m, g2.pad_steps + g2.n - m + 1)
@@ -258,10 +279,10 @@ def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     path itself, so the input needs pad >= 2*eps.
     """
     st = _path_state(Lg, p, sp, outer="momentum")
-    momentum = _eval_columns(Lg.grad_v, Lg.params, st.ts, st.q, st.v)
+    momentum = _eval_samples(Lg._programs["grad_v"], Lg.params, st.ts, st.q, st.v)
     # negate box(momentum) - dL/dq rather than subtract the other way: the
     # signs of zeros (-0.0 in the CSV) stay as they are
-    ts, res = _boxed_samples(st, sp, "momentum", momentum, Lg.params, Lg.grad_q)
+    ts, res = _boxed_samples(st, sp, "momentum", momentum, Lg.params, Lg._programs["grad_q"])
     return ResidualReport.from_samples(ts, -res, p.grid.h)
 
 
@@ -269,7 +290,7 @@ def dubois_reymond_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     """Residual of the energy balance  box(L - dL/dv . v) - dL/dt = 0."""
     st = _path_state(Lg, p, sp, outer="energy")
     _, energy = _momentum_energy(Lg, st.ts, st.q, st.v)
-    ts, res = _boxed_samples(st, sp, "energy", energy[:, None], Lg.params, (Lg.dL_dt,))
+    ts, res = _boxed_samples(st, sp, "energy", energy[:, None], Lg.params, (Lg._programs["dL_dt"],))
     return ResidualReport.from_samples(ts, res, p.grid.h)
 
 
@@ -279,8 +300,8 @@ def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScalePa
     st = _path_state(Lg, p, sp, sym=sym)
     g = p.grid
     ts_all = g.nodes()
-    tau_all = _eval_samples(sym.tau, sym.params, ts_all, p.values)
-    xi_all = _eval_columns(sym.xi, sym.params, ts_all, p.values)
+    tau_all = _eval_samples(sym._programs["tau"], sym.params, ts_all, p.values)
+    xi_all = _eval_samples(sym._programs["xi"], sym.params, ts_all, p.values)
     tau, xi = tau_all[g.core], xi_all[g.core]
     if not boxed:
         return (*st.core(), tau, xi, None, None)
@@ -309,7 +330,7 @@ def invariance_derivative(
                 "time deformation degenerate: |1 + s*box(tau)| < 1e-6 at a node"
             )
         integrand = _eval_samples(
-            Lg.L, Lg.params, ts + s * tau, qv + s * xi, (vv + s * dxi) / den[:, None]
+            Lg._programs["L"], Lg.params, ts + s * tau, qv + s * xi, (vv + s * dxi) / den[:, None]
         ) * den
         return complex(trapezoid(integrand, p.grid.h))
 
@@ -321,11 +342,11 @@ def invariance_integrand(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: Sca
     """First-order invariance integrand sampled on the core window:
     dL/dt tau + dL/dq . xi + dL/dv . (box xi - v box tau) + L box tau."""
     ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp, boxed=True)
-    lvals = _eval_samples(Lg.L, Lg.params, ts, qv, vv)
-    out = _eval_samples(Lg.dL_dt, Lg.params, ts, qv, vv) * tau + lvals * dtau
+    lvals = _eval_samples(Lg._programs["L"], Lg.params, ts, qv, vv)
+    out = _eval_samples(Lg._programs["dL_dt"], Lg.params, ts, qv, vv) * tau + lvals * dtau
     for k in range(Lg.dim):
-        out += _eval_samples(Lg.grad_q[k], Lg.params, ts, qv, vv) * xi[:, k]
-        out += _eval_samples(Lg.grad_v[k], Lg.params, ts, qv, vv) * (
+        out += _eval_samples(Lg._programs["grad_q"][k], Lg.params, ts, qv, vv) * xi[:, k]
+        out += _eval_samples(Lg._programs["grad_v"][k], Lg.params, ts, qv, vv) * (
             dxi[:, k] - vv[:, k] * dtau
         )
     return ts, out, p.grid.h

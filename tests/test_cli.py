@@ -204,6 +204,8 @@ def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field
         ("schrodinger_gaussian", "problem.hbar=-1", "problem.hbar"),
         ("schrodinger_gaussian", "problem.m=0", "problem.m"),
         ("invariance_time_translation", "problem.s_step=0.5", "problem.s_step"),
+        ("invariance_time_translation", "problem.s_step=1e-14", "problem.s_step"),
+        ("invariance_time_translation", "problem.s_step=1e-300", "problem.s_step"),
         # floats near 1e15 are 0.125 apart, so 100 steps of 0.01 would share nodes
         ("deriv_parabola", 'grid={"a": 1e15, "b": 1000000000000001.0, "n": 100, "pad": 0.02}', "grid"),
     ],

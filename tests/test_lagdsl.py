@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import pathlib
@@ -509,6 +510,48 @@ def test_joint_program_matches_reference_walk_bitwise(roots, bs):
         assert got[0] == "value" and len(got[1]) == len(roots), (roots, b, got)
         for value, want in zip(got[1], wants):
             assert same_bits(value, want[1]), (roots, b, want[1], value)
+
+
+_points = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    e=_trees,
+    data=st.data(),
+    t=st.floats(-2.0, 2.0),
+    q=st.tuples(_points, _points),
+    v=st.tuples(_points, _points),
+    k=_points,
+)
+def test_diff_matches_central_differences(e, data, t, q, v, k):
+    variables = sorted(free_variables(e) - {"k"})
+    assume(variables)
+    var = data.draw(st.sampled_from(variables))
+    # abs2 and conj have no derivative along q or v; folding may make a
+    # constant that is not finite
+    try:
+        d = diff(e, var)
+    except ExpressionError:
+        assume(False)
+    b = Bindings(t=t, q=q, v=v, params={"k": k})
+    h = 1e-5
+    outcomes = [_outcome(lambda: reference_evaluate(d, b)), _outcome(lambda: reference_evaluate(e, b))]
+    for step in (-h, -h / 2, h / 2, h):
+        outcomes.append(_outcome(lambda: reference_evaluate(e, _shifted(b, var, step))))
+    assume(all(kind == "value" and cmath.isfinite(x) for kind, x in outcomes))
+    sym, f, f_left, f_half_left, f_half_right, f_right = (x for _, x in outcomes)
+    # only where e is smooth across the stencil and the differences have
+    # settled: a pole, a branch cut or rounding within reach of the step
+    # shows as a large second difference or as the two steps disagreeing
+    assume(abs(f_right - 2 * f + f_left) <= 1e-6 * max(1.0, abs(f)))
+    coarse, fine = (f_right - f_left) / (2 * h), (f_half_right - f_half_left) / h
+    assume(abs(coarse - fine) <= 1e-8 * max(1.0, abs(fine)))
+    assert abs(sym - fine) <= 1e-6 * max(1.0, abs(sym)), (e, var, b, sym, fine)
 
 
 def _bundled_texts():

@@ -6,26 +6,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from scalevar import lagdsl
 from scalevar import (
     GridError,
     LagrangianSpec,
     NumericalError,
     Path,
+    ScalarField,
     ScaleParams,
     SchrodingerProblem,
     SymmetrySpec,
     Trajectory,
     ValidationError,
+    composite_scale_derivative,
     dubois_reymond_residual,
     energy_constant,
     euler_lagrange_residual,
     evaluate_functional,
     functional_integrand,
+    integrate_trajectory,
     invariance_derivative,
     invariance_integrand,
     invariance_integrand_integral,
     make_grid,
     noether_constant,
+    schrodinger_residual,
+    velocity_field,
 )
 from conftest import (
     dyadic_complex,
@@ -317,10 +323,45 @@ def test_symmetry_spec_rejects_velocities():
 
 
 def test_symmetry_spec_s_step_range():
-    with pytest.raises(ValidationError):
-        SymmetrySpec.from_text("1", "0", s_step=0.5)
-    with pytest.raises(ValidationError):
-        SymmetrySpec.from_text("1", "0", s_step=0.0)
+    for s_step in (0.5, 0.0, 1e-14, 1e-300):
+        with pytest.raises(ValidationError, match="s_step"):
+            SymmetrySpec.from_text("1", "0", s_step=s_step)
+    low, high = SymmetrySpec.S_STEP_RANGE
+    assert (low, high) == (1e-8, 0.1)
+    for s_step in (low, high):
+        assert SymmetrySpec.from_text("1", "0", s_step=s_step).s_step == s_step
+
+
+def test_programs_are_built_when_the_specs_are(monkeypatch):
+    built = []
+    program = lagdsl._program
+    monkeypatch.setattr(lagdsl, "_program", lambda roots, joint: built.append(roots) or program(roots, joint))
+    Lg = LagrangianSpec.from_text("0.5*v1^2 - 0.5*q1^2 + 0.1*t*q1")
+    sym = SymmetrySpec.from_text("1", "0.5 + t")
+    gauss = SchrodingerProblem("exp(-q1^2/2)*exp(-i*t/2)", "0.5*q1^2", 1.0, 1.0)
+    node = SchrodingerProblem("ln(q1)", "0", 1.0, 1.0)
+    field = ScalarField.from_text("q1^2*t + sin(q1)", 1)
+    assert built
+    built.clear()
+    p, sp = _cos(), SP_FINE
+    evaluate_functional(Lg, p, sp)
+    euler_lagrange_residual(Lg, p, sp)
+    dubois_reymond_residual(Lg, p, sp)
+    invariance_derivative(Lg, p, sym, sp)
+    invariance_integrand_integral(Lg, p, sym, sp)
+    noether_constant(Lg, p, sym, sp)
+    grid = make_grid(0.0, 0.5, 50, 0.02)
+    traj = integrate_trajectory(gauss, [0.5], grid)
+    energy_constant(gauss, traj, ScaleParams(0.01, "0"))
+    schrodinger_residual(gauss, np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+    gauss.psi_values(0.3, [0.2])
+    velocity_field(gauss, 0.3, [0.2])
+    with pytest.raises(NumericalError, match="ln"):  # Psi fails on its own, as reported
+        velocity_field(node, 0.0, [0.0])
+    for method in (field.value, field.time_derivative, field.gradient, field.hessian):
+        method(0.3, [0.2])
+    composite_scale_derivative(field, p, sp, 0.5)
+    assert built == []
 
 
 def test_lagrangian_partials_are_consistent():
