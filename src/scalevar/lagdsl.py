@@ -30,19 +30,27 @@ the names in table order.
 
 Evaluation model: compile(e) lowers an expression once to the source of one
 Python function of Bindings, with no recursion: each distinct node is
-computed once per call and each variable is read once.  A node used once
-that cannot raise (+, -, *, negation, / by a nonzero constant) is inlined
-into its parent's expression; every power, function call and guarded
-division is a statement, in the order of a walk of the tree, left to right
-and children first.  compile_all(exprs) returns the values of several
-expressions as a tuple, computing a subtree they share once.  Code objects
-are cached by source text.  evaluate(e, b) is compile(e)(b); the classes
-that declare expressions (ScalarField, the varcalc specs, SchrodingerProblem)
-compile them once, at construction.  The function keeps the guards of
-evaluation: division by zero (left out where the denominator is a nonzero
-constant), ln(0), a zero base under a negative integer power, unbound
-parameters and missing q/v components raise when it is called: a missing
-variable first, then whichever guard the walk meets first.
+computed once per call.  The function starts by reading each variable once,
+in the order of a walk of the tree (left to right, children first), inside
+one try.  A node used once that cannot raise (+, -, *, negation, / by a
+nonzero constant) is inlined into its parent's expression; every power,
+function call and guarded division is a statement, in walk order.
+compile_all(exprs) returns the values of several expressions as a tuple,
+computing a subtree they share once.  Code objects are cached by source
+text.  evaluate(e, b) is compile(e)(b); the classes that declare
+expressions (ScalarField, the varcalc specs, SchrodingerProblem) compile
+them once, at construction.
+
+Evaluation guards, which every compiled function keeps: a failed read
+raises ValidationError for the first unbound parameter or missing q/v
+component in walk order, before any arithmetic; then NumericalError for
+whichever the walk meets first of a division by zero (left out where the
+denominator is a nonzero constant), ln(0), and an integer power with a zero
+base under a negative exponent or that overflows (Python's ** raises where
+numpy gives inf; 1/z^n with z^n underflowed to zero is an overflow).  One
+function, _pow_fn, makes every integer power, for programs and for folding:
+a constant zero base under a negative power stays a Pow, and a constant
+power that overflows is an ExpressionError.
 """
 
 from __future__ import annotations
@@ -259,10 +267,9 @@ def power(base: Expr, exponent: float) -> Expr:
         try:
             with np.errstate(all="ignore"):
                 return _fold(_pow_fn(exponent)(base.value))
-        except OverflowError:
-            raise ExpressionError("constant is not finite (overflow)") from None
-        except NumericalError:  # a zero base under a negative power stays a Pow
-            pass
+        except NumericalError:  # an overflow; a zero base under a negative power stays a Pow
+            if base.value != 0:
+                raise ExpressionError("constant is not finite (overflow)") from None
     return Pow(base, exponent)
 
 
@@ -450,24 +457,23 @@ def _coerce(x):
     return complex(x)
 
 
-def _ipow(z, n: int):
-    """z^n for a negative integer n."""
-    if np.any(z == 0):
-        raise NumericalError("zero base raised to a negative power")
-    try:
-        return 1.0 / z**-n
-    except ZeroDivisionError:  # z^-n underflowed to zero, so z^n overflows
-        raise OverflowError(f"power ^{n} overflows") from None
-
-
 def _pow_fn(c: float):
-    """z -> z^c: Python integer powers for integral c, a principal complex power otherwise."""
-    if float(c).is_integer():
-        n = int(c)
-        if n >= 0:
-            return lambda z: z**n
-        return lambda z: _ipow(z, n)
-    return lambda z: np.power(_coerce(z), c)
+    """z -> z^c: Python's integer power for integral c, a principal complex power
+    otherwise.  An integer power raises NumericalError for a zero base under a
+    negative power and where Python's power overflows (numpy gives inf there)."""
+    if not float(c).is_integer():
+        return lambda z: np.power(_coerce(z), c)
+    n = int(c)
+
+    def raise_to(z):
+        if n < 0 and np.any(z == 0):
+            raise NumericalError("zero base raised to a negative power")
+        try:
+            return z**n if n >= 0 else 1.0 / z**-n
+        except (OverflowError, ZeroDivisionError):  # z^-n underflowed to zero: z^n overflows
+            raise NumericalError(f"overflow in power ^{c:g}") from None
+
+    return raise_to
 
 
 def _ln(z):
@@ -507,31 +513,16 @@ def _div(lhs, rhs):
     return lhs / rhs
 
 
-def _power(c: float):
-    """z -> z^c as _pow_fn takes it, with a Python overflow as a NumericalError."""
-    pw = _pow_fn(c)
-
-    def raise_to(z):
-        try:
-            return pw(z)
-        except OverflowError:  # a Python scalar power overflows where numpy gives inf
-            raise NumericalError(f"overflow in power ^{c:g}") from None
-
-    return raise_to
-
-
 def _unbound(b: Bindings, variables) -> None:
     """Raise for the first of the variables (Var nodes) that b does not supply."""
     for e in variables:
-        if e.kind == "param":
-            if e.name not in b.params:
-                raise ValidationError(f"unbound parameter {e.name!r}")
-            continue
+        if e.kind == "param" and e.name not in b.params:
+            raise ValidationError(f"unbound parameter {e.name!r}") from None
         seq = b.q if e.kind == "q" else b.v
-        if len(seq) < e.index:
+        if len(seq) < e.index:  # t and parameters have index 0
             raise ValidationError(
                 f"binding supplies {len(seq)} {e.kind} components, {e.name} needs {e.index}"
-            )
+            ) from None
 
 
 # What every compiled program may call, bound in its globals under these names.
@@ -554,7 +545,8 @@ def _emit(roots) -> tuple:
     nested past _INLINE_NESTING, is a statement assigning a local.  The
     statements follow a walk of the roots (left to right, children first),
     so the guards fire in the order that walk meets them.  Each variable is
-    read once, at the top, after one test that the bindings supply them all.
+    read once, at the top, inside one try whose handler has _unbound name
+    the first variable the bindings do not supply.
     Constants and callables live in the globals and reach the source only as
     names; parameter names reach it through repr.
     """
@@ -568,7 +560,7 @@ def _emit(roots) -> tuple:
     env = dict(_RUNTIME)
     global_names = {}  # id(object) -> its name in env
     reads, lines = [], []
-    variables = {}  # (kind, name, index) -> local
+    variables = {}  # Var (equal by kind, index and name) -> local
     done = {}  # id(node) -> (source, nesting); nesting 0 is a bare name
 
     def bind(obj) -> str:
@@ -584,12 +576,11 @@ def _emit(roots) -> tuple:
         return name, 0
 
     def read(e: Var) -> tuple:
-        key = (e.kind, e.name, e.index)
-        if key not in variables:
+        if e not in variables:
             source = {"t": "b.t", "param": f"b.params[{e.name!r}]"}.get(e.kind)
             source = source or f"b.{e.kind}[{e.index - 1!r}]"  # b.q or b.v
-            variables[key] = assign(f"_coerce({source})", reads)[0], e
-        return variables[key][0], 0
+            variables[e] = assign(f"_coerce({source})", reads)[0]
+        return variables[e], 0
 
     def lower(e: Expr) -> tuple:
         if isinstance(e, Const):
@@ -598,7 +589,7 @@ def _emit(roots) -> tuple:
             return read(e)
         args = [done[id(x)] for x in _operands(e)]
         if isinstance(e, (Pow, Call)):
-            fn = _power(e.exponent) if isinstance(e, Pow) else _function(e.fn)[0]
+            fn = _pow_fn(e.exponent) if isinstance(e, Pow) else _function(e.fn)[0]
             return assign(f"{bind(fn)}({args[0][0]})")
         if isinstance(e, Neg):
             source = f"(-{args[0][0]})"
@@ -624,14 +615,10 @@ def _emit(roots) -> tuple:
             else:
                 stack.append((node, True))
                 stack += ((x, False) for x in reversed(_operands(node)))
-    # one test of the bindings up front; _unbound finds which read would fail first
-    read_vars = tuple(e for _, e in variables.values() if e.kind != "t")
-    checks = [f"{e.name!r} not in b.params" for e in read_vars if e.kind == "param"]
-    for kind in "qv":
-        n = max((e.index for e in read_vars if e.kind == kind), default=0)
-        checks += [f"len(b.{kind}) < {n!r}"] if n else []
-    guard = [f"if {' or '.join(checks)}: _unbound(b, {bind(read_vars)})"] if checks else []
-    return guard + reads + lines, [done[id(r)][0] for r in roots], env
+    if reads:  # a failed read raises for the first variable b does not supply
+        handler = ["except Exception:", f"    _unbound(b, {bind(tuple(variables))})", "    raise"]
+        reads = ["try:", *(f"    {r}" for r in reads), *handler]
+    return reads + lines, [done[id(r)][0] for r in roots], env
 
 
 @functools.lru_cache(maxsize=256)
@@ -653,10 +640,8 @@ def compile(e: Expr):
     The function performs the same operations on the same operand types as
     the expression prescribes, node by node, so its results are bitwise
     reproducible: constants come back as stored, variables pass through
-    complex coercion, integer powers use Python's integer power.  Guards
-    raise at call time: division by zero (omitted for a nonzero constant
-    denominator, where it cannot fire), ln(0), a zero base under a negative
-    power, unbound parameters and missing q/v components.
+    complex coercion, integer powers use Python's integer power.  It raises
+    at call time as the module docstring's evaluation guards say.
     """
     return _program((e,), joint=False)
 
@@ -817,8 +802,8 @@ class ScalarField:
         return self._time(self._bind(t, q))
 
     def gradient(self, t, q) -> np.ndarray:
-        return np.array(self._grad(self._bind(t, q)), dtype=np.complex128)
+        return np.array(np.broadcast_arrays(*self._grad(self._bind(t, q))), dtype=np.complex128)
 
     def hessian(self, t, q) -> np.ndarray:
-        flat = np.array(self._hess(self._bind(t, q)), dtype=np.complex128)
+        flat = np.array(np.broadcast_arrays(*self._hess(self._bind(t, q))), dtype=np.complex128)
         return flat.reshape((self.dim, self.dim) + flat.shape[1:])

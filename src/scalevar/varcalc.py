@@ -195,7 +195,8 @@ def _path_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams, sym=None, outer=No
     """Check p against the specs and take its scale derivative once.
 
     outer names the quantity a report differentiates a second time; the input
-    then needs pad >= 2*eps, checked before the first derivative is taken.
+    then needs pad >= 2*eps and a non-empty window [a+eps, b-eps], both
+    checked before the first derivative is taken.
     """
     if not p.is_sampled:
         raise ValidationError(
@@ -205,11 +206,14 @@ def _path_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams, sym=None, outer=No
     if sym is not None:
         _check_dim("symmetry", sym.dim, p)
     g = p.grid
-    if outer is not None and g.pad_steps < 2 * g.steps_of(sp.epsilon):
+    m = g.steps_of(sp.epsilon) if outer is not None else 0
+    if g.pad_steps < 2 * m:
         raise GridError(
             f"padding {g.pad!r} is smaller than 2*epsilon={2 * sp.epsilon!r} "
             f"(the outer derivative of the {outer} consumes one stencil per side)"
         )
+    if g.n <= 2 * m:
+        raise GridError("grid too coarse: the window [a+eps, b-eps] is empty")
     v_path = scale_derivative_path(p, sp)
     g1 = v_path.grid
     return _PathState(g1, g1.nodes(), sample(p, g1).values, v_path.values)
@@ -263,8 +267,6 @@ def _boxed_samples(st: _PathState, sp: ScaleParams, label: str, inner: np.ndarra
     inside = slice(m, st.grid.num_nodes - m)
     ts2 = g2.nodes()
     res = outer.values - _eval_samples(rhs, params, ts2, st.q[inside], st.v[inside])
-    if g2.n <= 2 * m:
-        raise GridError("grid too coarse: the window [a+eps, b-eps] is empty")
     w = slice(g2.pad_steps + m, g2.pad_steps + g2.n - m + 1)
     res_w = res[w]
     if res_w.shape[1] == 1:

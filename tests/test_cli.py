@@ -546,6 +546,17 @@ def test_grid_geometry_found_late_names_the_grid(tmp_path, config, path, value):
     assert err.startswith('scalevar: invalid field "grid": ') and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("config", ["check_el_oscillator", "check_dbr_oscillator"])
+def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
+    # 2*eps covers the 4-step grid, so [a+eps, b-eps] holds no node
+    overrides = ("grid.n=4", "scale.epsilon=0.5", "grid.pad=1.0")
+    code, _, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", *overrides)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        'scalevar: invalid field "grid": grid too coarse: the window [a+eps, b-eps] is empty\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # the table writer against the per-cell reference writer
 

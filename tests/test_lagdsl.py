@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import operator
 import pathlib
 
 import numpy as np
@@ -349,6 +350,20 @@ def test_scalar_field_gradient_and_hessian():
     assert f.time_derivative(0.5, (2.0, 3.0)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "text, method, shape",  # each has a constant partial
+    [("q1^2*q2 + t", "hessian", (2, 2)), ("q1 + q2^2", "gradient", (2,))],
+)
+def test_scalar_field_partials_broadcast_constants_over_array_positions(text, method, shape):
+    f = ScalarField.from_text(text, 2)
+    q = (np.arange(3.0), np.ones(3))
+    got = getattr(f, method)(0.0, q)
+    for node in range(3):
+        want = getattr(f, method)(0.0, (q[0][node], q[1][node]))
+        assert want.shape == shape and want.dtype == np.complex128
+        assert same_bits(got[..., node], want)
+
+
 def test_scalar_field_rejects_velocities():
     with pytest.raises(ValidationError, match="^scalar fields may not reference velocity variables$"):
         ScalarField.from_text("v1^2", 1)
@@ -512,7 +527,42 @@ def test_joint_program_matches_reference_walk_bitwise(roots, bs):
             assert same_bits(value, want[1]), (roots, b, want[1], value)
 
 
-_points = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+def _variable_leaves(e):
+    """The Var leaves of e, left to right."""
+    if isinstance(e, Var):
+        return [e]
+    return [leaf for x in lagdsl._operands(e) for leaf in _variable_leaves(x)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    roots=st.lists(_trees, min_size=1, max_size=3),
+    b=_bindings(),
+    nq=st.integers(0, 2),
+    nv=st.integers(0, 2),
+    keep_k=st.booleans(),
+)
+def test_a_missing_variable_is_reported_in_read_order(roots, b, nq, nv, keep_k):
+    b = Bindings(t=b.t, q=b.q[:nq], v=b.v[:nv], params=b.params if keep_k else {})
+    got = _outcome(lambda: compile_all(roots)(b))
+    leaves = [e for root in roots for e in _variable_leaves(root)]
+    reads = [_outcome(lambda e=e: reference_evaluate(e, b)) for e in leaves]
+    missing = [read for read in reads if read[0] == "error"]
+    if missing:  # the first one left to right across the roots, before any guard
+        assert missing[0][1][0] is ValidationError
+        assert got == missing[0], (roots, b)
+        return
+    wants = [_outcome(lambda e=e: reference_evaluate(e, b)) for e in roots]
+    failures = [want for want in wants if want[0] == "error"]
+    if failures:
+        assert got == failures[0], (roots, b)
+        return
+    assert got[0] == "value" and len(got[1]) == len(roots), (roots, b, got)
+    for value, want in zip(got[1], wants):
+        assert same_bits(value, want[1]), (roots, b, want[1], value)
+
+
+_points =st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(
@@ -552,6 +602,103 @@ def test_diff_matches_central_differences(e, data, t, q, v, k):
     coarse, fine = (f_right - f_left) / (2 * h), (f_half_right - f_half_left) / h
     assume(abs(coarse - fine) <= 1e-8 * max(1.0, abs(fine)))
     assert abs(sym - fine) <= 1e-6 * max(1.0, abs(sym)), (e, var, b, sym, fine)
+
+
+def _sympy_symbol(sympy, name):
+    return sympy.Symbol(name, real=True) if name == "t" else sympy.Symbol(name)
+
+
+def _sympy_number(sympy, z):
+    if isinstance(z, int):
+        return sympy.Integer(z)
+    z = complex(z)
+    return sympy.Float(z.real) + sympy.I * sympy.Float(z.imag)
+
+
+def _to_sympy(sympy, e):
+    """e as a sympy expression: t is a real symbol, q, v and k complex ones."""
+    if isinstance(e, Const):
+        return _sympy_number(sympy, e.value)
+    if isinstance(e, Var):
+        return _sympy_symbol(sympy, e.name)
+    if isinstance(e, Neg):
+        return -_to_sympy(sympy, e.arg)
+    if isinstance(e, BinOp):
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[e.op]
+        return op(_to_sympy(sympy, e.left), _to_sympy(sympy, e.right))
+    if isinstance(e, Pow):
+        c = float(e.exponent)
+        return _to_sympy(sympy, e.base) ** (sympy.Integer(int(c)) if c.is_integer() else sympy.Float(c))
+    fn = {
+        "ln": sympy.log,
+        "abs2": lambda z: z * sympy.conjugate(z),
+        "conj": sympy.conjugate,
+    }.get(e.fn) or getattr(sympy, e.fn)
+    return fn(_to_sympy(sympy, e.arg))
+
+
+def _ill_conditioned(e, b) -> bool:
+    """Whether an argument in e at b of ln, sqrt or a non-integer power lies on
+    the closed negative real axis (the branch cut), or one of sin, cos or exp
+    exceeds 100 in modulus (its rounding then shows in the result)."""
+    for node, _ in lagdsl._walk(e):
+        if isinstance(node, Pow) and not float(node.exponent).is_integer():
+            fn = "pow"
+        elif isinstance(node, Call) and node.fn not in ("abs2", "conj"):
+            fn = node.fn
+        else:
+            continue
+        u = complex(reference_evaluate(lagdsl._operands(node)[0], b))
+        if fn in ("sin", "cos", "exp") and abs(u) > 100:
+            return True
+        if fn in ("ln", "sqrt", "pow") and u.real <= 0 and abs(u.imag) <= 1e-6 * abs(u):
+            return True
+    return False
+
+
+def _largest_value(e, b) -> float:
+    """The largest modulus of a subexpression of e at b, the scale of e's rounding error."""
+    return max(abs(complex(reference_evaluate(node, b))) for node, _ in lagdsl._walk(e))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    e=_trees,
+    t=st.floats(-2.0, 2.0),
+    q=st.tuples(_points, _points),
+    v=st.tuples(_points, _points),
+    k=_points,
+)
+def test_diff_matches_sympy(e, t, q, v, k):
+    sympy = pytest.importorskip("sympy")
+    b = Bindings(t=t, q=q, v=v, params={"k": k})
+    kind, value = _outcome(lambda: evaluate(e, b))  # a guard may raise, or e be infinite
+    assume(kind == "value" and cmath.isfinite(value) and not _ill_conditioned(e, b))
+    values = {"t": t, "q1": q[0], "q2": q[1], "v1": v[0], "v2": v[1], "k": k}
+    point = {_sympy_symbol(sympy, x): _sympy_number(sympy, z) for x, z in values.items()}
+    checked = 0
+    for var in sorted(free_variables(e) - {"k"}):
+        try:
+            d = diff(e, var)
+        except ExpressionError:  # a fold that is not finite, or abs2/conj along q or v
+            continue
+        kind, got = _outcome(lambda: evaluate(d, b))
+        if kind == "error" or not cmath.isfinite(got):
+            continue
+        try:
+            want = sympy.diff(_to_sympy(sympy, e), _sympy_symbol(sympy, var)).evalf(30, subs=point)
+            want = complex(want)
+        except (TypeError, ZeroDivisionError):  # sympy meets a pole: zoo or nan
+            continue
+        scale = max(1.0, abs(want), _largest_value(d, b))
+        if cmath.isfinite(want) and math.isfinite(scale):
+            assert abs(got - want) <= 1e-8 * scale, (e, var, b, got, want)
+            checked += 1
+    assume(checked)
 
 
 def _bundled_texts():

@@ -139,6 +139,19 @@ def test_el_residual_needs_double_padding():
         euler_lagrange_residual(FREE, _linear(g), ScaleParams(0.001, "0"))
 
 
+@pytest.mark.parametrize("report", [euler_lagrange_residual, dubois_reymond_residual])
+@pytest.mark.parametrize("n", [4, 6])  # 2*eps covers the grid, then exactly fills it
+def test_empty_residual_window_fails_before_any_derivative(monkeypatch, report, n):
+    path = _cos(make_grid(0.0, 1.0, n, 6.0 / n))
+
+    def no_derivative(*args, **kwargs):
+        raise AssertionError("a scale derivative was taken")
+
+    monkeypatch.setattr("scalevar.varcalc.scale_derivative_path", no_derivative)
+    with pytest.raises(GridError, match=r"^grid too coarse: the window \[a\+eps, b-eps\] is empty$"):
+        report(OSC, path, ScaleParams(3.0 / n, "0"))
+
+
 def test_el_dimension_mismatch():
     p2 = sampled(lambda ts: np.stack([ts, ts], axis=1).astype(complex), DYADIC, dim=2)
     with pytest.raises(ValidationError, match="dimension"):
