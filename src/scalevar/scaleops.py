@@ -133,8 +133,9 @@ def scale_derivative_path(p: Path, sp: ScaleParams, grid: TimeGrid | None = None
             raise GridError(
                 f"padding {g.pad!r} is smaller than epsilon={eps!r}; extend the grid pad"
             )
-        vals = p.values
-        out = _combine((vals[2 * m :] - vals[m:-m]) / eps, (vals[m:-m] - vals[: -2 * m]) / eps, mu)
+        # D+ at node k is D- at node k + m: one difference array serves both
+        d = (p.values[m:] - p.values[:-m]) / eps
+        out = _combine(d[m:], d[:-m], mu)
         return Path.from_samples(g.with_pad_steps(g.pad_steps - m), out, label=f"scale[{p.label}]")
     if grid is None:
         raise ValidationError("scale_derivative_path of an analytic path needs an explicit grid")

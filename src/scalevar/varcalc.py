@@ -9,8 +9,11 @@ For a Lagrangian L(t, q, v) with v = box q (the scale derivative of the path):
 
 under a generator (tau(t, q), xi(t, q)).  Residuals are reported on the
 window [a + eps, b - eps]: the outer scale derivative consumes one stencil of
-data on each side and no boundary values are fabricated.  All checks take a
-candidate path as data; nothing here solves the variational problem.
+data on each side and no boundary values are fabricated.  A report reads the
+path up to its reach beyond [a, b], eps (2*eps for the residuals, which apply
+box twice); padding beyond the reach is never evaluated, so a report is
+bitwise the same for any larger pad.  All checks take a candidate path as
+data; nothing here solves the variational problem.
 """
 
 from __future__ import annotations
@@ -173,17 +176,15 @@ class NoetherReport:
 
 @dataclass(frozen=True)
 class _PathState:
-    """box q on the eps-shrunk grid, with the node times and q on that grid."""
+    """The input path cut to a report's reach (m = eps in grid steps), and box q
+    with its node times and q on the grid m steps inside it."""
 
+    path: Path
+    m: int
     grid: TimeGrid
     ts: np.ndarray
     q: np.ndarray
     v: np.ndarray
-
-    def core(self):
-        """(ts, q, v) on the core window [a, b]."""
-        core = self.grid.core
-        return self.ts[core], self.q[core], self.v[core]
 
 
 def _check_dim(what: str, dim: int, p: Path) -> None:
@@ -192,11 +193,12 @@ def _check_dim(what: str, dim: int, p: Path) -> None:
 
 
 def _path_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams, sym=None, outer=None) -> _PathState:
-    """Check p against the specs and take its scale derivative once.
+    """Check p against the specs, cut it to the report's reach and take its scale
+    derivative once.
 
-    outer names the quantity a report differentiates a second time; the input
-    then needs pad >= 2*eps and a non-empty window [a+eps, b-eps], both
-    checked before the first derivative is taken.
+    The reach is eps, or 2*eps when outer names the quantity a report
+    differentiates a second time; then pad >= 2*eps and a non-empty window
+    [a+eps, b-eps] are checked before the first derivative is taken.
     """
     if not p.is_sampled:
         raise ValidationError(
@@ -206,17 +208,19 @@ def _path_state(Lg: LagrangianSpec, p: Path, sp: ScaleParams, sym=None, outer=No
     if sym is not None:
         _check_dim("symmetry", sym.dim, p)
     g = p.grid
-    m = g.steps_of(sp.epsilon) if outer is not None else 0
-    if g.pad_steps < 2 * m:
+    m = g.steps_of(sp.epsilon)
+    reach = m if outer is None else 2 * m
+    if outer is not None and g.pad_steps < reach:
         raise GridError(
             f"padding {g.pad!r} is smaller than 2*epsilon={2 * sp.epsilon!r} "
             f"(the outer derivative of the {outer} consumes one stencil per side)"
         )
-    if g.n <= 2 * m:
+    if outer is not None and g.n <= reach:
         raise GridError("grid too coarse: the window [a+eps, b-eps] is empty")
-    v_path = scale_derivative_path(p, sp)
-    g1 = v_path.grid
-    return _PathState(g1, g1.nodes(), sample(p, g1).values, v_path.values)
+    if g.pad_steps > reach:
+        p = sample(p, g.with_pad_steps(reach))
+    v = scale_derivative_path(p, sp)
+    return _PathState(p, m, v.grid, v.grid.nodes(), p.values[m:-m], v.values)
 
 
 def _eval_samples(programs, params, ts, qvals, vvals=None) -> np.ndarray:
@@ -248,8 +252,8 @@ def _momentum_energy(Lg: LagrangianSpec, ts, qvals, vvals):
 
 def functional_integrand(Lg: LagrangianSpec, p: Path, sp: ScaleParams):
     """Per-node samples of L(t, q, box q) on the core window [a, b]."""
-    ts, qv, vv = _path_state(Lg, p, sp).core()
-    return ts, _eval_samples(Lg._programs["L"], Lg.params, ts, qv, vv), p.grid.h
+    st = _path_state(Lg, p, sp)
+    return st.ts, _eval_samples(Lg._programs["L"], Lg.params, st.ts, st.q, st.v), p.grid.h
 
 
 def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex:
@@ -261,17 +265,14 @@ def evaluate_functional(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> complex
 def _boxed_samples(st: _PathState, sp: ScaleParams, label: str, inner: np.ndarray, params, rhs):
     """Apply an outer scale derivative to per-node samples (named label) on the state's grid;
     return the node times and box(inner) minus the rhs programs on the window [a + eps, b - eps]."""
-    outer = scale_derivative_path(Path.from_samples(st.grid, inner, label=label), sp)
-    g2 = outer.grid
-    m = st.grid.pad_steps - g2.pad_steps
-    inside = slice(m, st.grid.num_nodes - m)
-    ts2 = g2.nodes()
-    res = outer.values - _eval_samples(rhs, params, ts2, st.q[inside], st.v[inside])
-    w = slice(g2.pad_steps + m, g2.pad_steps + g2.n - m + 1)
-    res_w = res[w]
-    if res_w.shape[1] == 1:
-        res_w = res_w[:, 0]
-    return ts2[w], res_w
+    m = st.m
+    outer = scale_derivative_path(Path.from_samples(st.grid, inner, label=label), sp).values[m:-m]
+    w = slice(2 * m, -2 * m)
+    ts = st.ts[w]
+    res = outer - _eval_samples(rhs, params, ts, st.q[w], st.v[w])
+    if res.shape[1] == 1:
+        res = res[:, 0]
+    return ts, res
 
 
 def euler_lagrange_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> ResidualReport:
@@ -300,17 +301,14 @@ def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScalePa
     """Core-window samples of the path state and of tau and xi along the path,
     with box tau and box xi when boxed."""
     st = _path_state(Lg, p, sp, sym=sym)
-    g = p.grid
-    ts_all = g.nodes()
-    tau_all = _eval_samples(sym._programs["tau"], sym.params, ts_all, p.values)
-    xi_all = _eval_samples(sym._programs["xi"], sym.params, ts_all, p.values)
-    tau, xi = tau_all[g.core], xi_all[g.core]
+    r, m = st.path, st.m
+    ts, q = (r.grid.nodes(), r.values) if boxed else (st.ts, st.q)
+    tau, xi = (_eval_samples(sym._programs[k], sym.params, ts, q) for k in ("tau", "xi"))
     if not boxed:
-        return (*st.core(), tau, xi, None, None)
-    core = st.grid.core
-    dtau = scale_derivative_path(Path.from_samples(g, tau_all, label="tau"), sp).values[:, 0][core]
-    dxi = scale_derivative_path(Path.from_samples(g, xi_all, label="xi"), sp).values[core]
-    return (*st.core(), tau, xi, dtau, dxi)
+        return st.ts, st.q, st.v, tau, xi, None, None
+    dtau = scale_derivative_path(Path.from_samples(r.grid, tau, label="tau"), sp).values[:, 0]
+    dxi = scale_derivative_path(Path.from_samples(r.grid, xi, label="xi"), sp).values
+    return st.ts, st.q, st.v, tau[m:-m], xi[m:-m], dtau, dxi
 
 
 def invariance_derivative(

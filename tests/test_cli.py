@@ -557,6 +557,33 @@ def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
     )
 
 
+@pytest.mark.parametrize(
+    "config, overrides, reach",
+    [
+        ("noether_free_particle", ("problem.tau=1/(t+0.005)",), 0.001),
+        ("check_el_oscillator", ("grid.pad=0.01", "problem.L=0.5*v1^2-q1/(t+0.008)"), 0.002),
+        (
+            "check_dbr_oscillator",
+            ("grid.pad=0.01", "problem.L=0.5*v1^2-0.5*q1^2+ln(t+0.008)"),
+            0.002,
+        ),
+        ("invariance_time_translation", ("grid.pad=0.01", "problem.xi=1/(t+0.008)"), 0.001),
+    ],
+)
+def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, config, overrides, reach):
+    # each expression is singular on a padding node beyond eps (2*eps for the
+    # residuals) outside [a, b]; no output reads that node, so the run is the
+    # one on a grid padded to the reach
+    path = CONFIG_DIR / f"{config}.json"
+    code, csv_path, summary_path = _run(tmp_path / "wide", path, *overrides)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    code, csv_reach, summary_reach = _run(tmp_path / "reach", path, *overrides, f"grid.pad={reach}")
+    assert code == 0
+    assert csv_path.read_bytes() == csv_reach.read_bytes()
+    assert summary_path.read_bytes() == summary_reach.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the table writer against the per-cell reference writer
 

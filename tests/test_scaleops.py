@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalevar import (
     DEFAULT_EPSILONS,
@@ -22,7 +24,7 @@ from scalevar import (
     scale_derivative_path,
     weierstrass,
 )
-from conftest import dyadic_sampled_path, ulps_apart
+from conftest import dyadic_complex, dyadic_sampled_path, same_bits, ulps_apart
 
 T_SQUARED = Path.from_callable(lambda t: t * t, label="t^2")
 
@@ -167,6 +169,44 @@ def test_scale_derivative_path_identity_is_one():
     for mu in ("1", "-1", "0", "i", "-i"):
         dp = scale_derivative_path(p, ScaleParams(g.h, mu))
         assert np.all(dp.values == 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.sampled_from(["1", "-1", "0", "i", "-i"]),
+    m=st.integers(1, 3),
+    dim=st.integers(1, 3),
+    n=st.integers(2, 40),
+    extra_pad=st.integers(0, 2),
+)
+def test_scale_derivative_path_matches_two_quotients_bitwise(seed, mu, m, dim, n, extra_pad):
+    # dyadic samples times a random scale, so that most quotients round
+    g = make_grid(0.0, 1.0, n, (m + extra_pad) / n)
+    rng = np.random.default_rng(seed)
+    vals = dyadic_complex(rng, (g.num_nodes, dim)) * rng.uniform(0.5, 2.0)
+    for part in (vals.real, vals.imag):  # zeros of either sign in either part
+        signs = rng.choice([-1.0, 1.0], vals.shape)
+        part[...] = np.where(rng.random(vals.shape) < 0.3, np.copysign(0.0, signs), part)
+    sp = ScaleParams(m * g.h, mu)
+    got = scale_derivative_path(Path.from_samples(g, vals), sp)
+    dplus = (vals[2 * m :] - vals[m:-m]) / sp.epsilon
+    dminus = (vals[m:-m] - vals[: -2 * m]) / sp.epsilon
+    want = 0.5 * (dplus + dminus) + (0.5j * sp.mu) * (dplus - dminus)
+    assert got.grid == g.with_pad_steps(g.pad_steps - m)
+    assert same_bits(got.values, want)
+
+
+def test_scale_derivative_path_of_an_analytic_path():
+    g = make_grid(0.0, 1.0, 1024, 2.0**-9)  # dyadic grid: quotients exact
+    p = Path.from_callable(lambda t: t, vectorized=True)
+    for mu in ("1", "-1", "0", "i", "-i"):
+        dp = scale_derivative_path(p, ScaleParams(g.h, mu), grid=g)
+        assert dp.grid == g.with_pad_steps(g.pad_steps - 1)
+        assert np.all(dp.values == 1.0)
+    other = make_grid(0.0, 1.0, 512, 2.0**-9)
+    with pytest.raises(GridError, match="grid argument conflicts"):
+        scale_derivative_path(sample(p, g), ScaleParams(g.h, "0"), grid=other)
 
 
 def test_scale_derivative_path_weierstrass_finite():
