@@ -220,12 +220,14 @@ def _config_path(cfg, grid, params, dotted="problem.path") -> Path:
     return Path.from_samples(grid, np.stack(cols, axis=1), label=dotted)
 
 
-def _path_problem(cfg):
-    """The scale, params and sampled path that every path command starts from."""
+def _path_problem(cfg, stencils=1):
+    """The scale, params and sampled path that every path command starts from; the path
+    reaches into the padding only as far as box_eps, applied `stencils` times, reads."""
     grid = _config_grid(cfg)
     sp = _config_scale(cfg, grid)
     params = _config_params(cfg)
-    return sp, params, _config_path(cfg, grid, params)
+    reach = stencils * grid.steps_of(sp.epsilon)
+    return sp, params, _config_path(cfg, grid.with_pad_steps(min(grid.pad_steps, reach)), params)
 
 
 def _config_lagrangian(cfg, params, dim) -> LagrangianSpec:
@@ -360,7 +362,7 @@ def _cmd_functional(cfg):
 
 
 def _cmd_residual(cfg, report):
-    sp, params, p = _path_problem(cfg)
+    sp, params, p = _path_problem(cfg, stencils=2)
     Lg = _config_lagrangian(cfg, params, p.dim)
     return _pointwise(report(Lg, p, sp))
 

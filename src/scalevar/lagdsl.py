@@ -36,10 +36,14 @@ one try.  A node used once that cannot raise (+, -, *, negation, / by a
 nonzero constant) is inlined into its parent's expression; every power,
 function call and guarded division is a statement, in walk order.
 compile_all(exprs) returns the values of several expressions as a tuple,
-computing a subtree they share once.  Code objects are cached by source
-text.  evaluate(e, b) is compile(e)(b); the classes that declare
-expressions (ScalarField, the varcalc specs, SchrodingerProblem) compile
-them once, at construction.
+computing a subtree they share once.  Both are built on the one emitter,
+generate(roots, read, write), whose caller gives the source of each
+variable read and the functions around the statements:
+SchrodingerProblem reads t and q positionally, binds its parameters once
+as constants and writes its RK4 step around the same statements.  Code
+objects are cached by source text.  evaluate(e, b) is compile(e)(b); the
+classes that declare expressions (ScalarField, the varcalc specs,
+SchrodingerProblem) compile them once, at construction.
 
 Evaluation guards, which every compiled function keeps: a failed read
 raises ValidationError for the first unbound parameter or missing q/v
@@ -80,6 +84,7 @@ __all__ = [
     "parse",
     "compile",
     "compile_all",
+    "generate",
     "evaluate",
     "diff",
     "format_expr",
@@ -534,21 +539,22 @@ _RUNTIME = {"_coerce": _coerce, "_div": _div, "_unbound": _unbound}
 _INLINE_NESTING = 32
 
 
-def _emit(roots) -> tuple:
-    """Body of one Python function of Bindings b that computes every root.
+def generate(roots, read, write) -> dict:
+    """Lower the roots to Python source, run it, and return its globals.
 
-    Returns (lines, one expression per root, globals).  Each distinct node
-    (keyed by identity, never by value: Const(1.0) == Const(1+0j)) is
-    computed once.  A node that cannot raise (+, -, *, negation, / by a
-    nonzero constant) and is used once is inlined into its parent's
-    expression, so numpy can reuse its temporary; every other node, and one
-    nested past _INLINE_NESTING, is a statement assigning a local.  The
-    statements follow a walk of the roots (left to right, children first),
-    so the guards fire in the order that walk meets them.  Each variable is
-    read once, at the top, inside one try whose handler has _unbound name
-    the first variable the bindings do not supply.
-    Constants and callables live in the globals and reach the source only as
-    names; parameter names reach it through repr.
+    read(v) gives the source of the value of the variable v (a Var) as the
+    generated function receives it: _coerce(b.t) from Bindings b, or
+    _coerce(q0) from a parameter q0.  write(lines, values) gives the source
+    that defines the functions: lines compute every root, the first of them
+    reading each variable once (one line per call of read), and values holds
+    one expression per root.  Each distinct node (keyed by identity, never
+    by value: Const(1.0) == Const(1+0j)) is computed once, a node inlined or
+    made a statement as the module docstring's evaluation model says.
+    Constants and callables reach the lines only as names of globals,
+    _coerce among them; every name in the lines begins with an underscore,
+    so a caller's names that do not cannot collide with them.  Code objects
+    are cached by source text; a caller adds globals of its own and pops the
+    functions it takes, so that no function is among its own globals.
     """
     uses, stack = {}, list(roots)
     while stack:
@@ -575,18 +581,13 @@ def _emit(roots) -> tuple:
         to.append(f"{name} = {source}")
         return name, 0
 
-    def read(e: Var) -> tuple:
-        if e not in variables:
-            source = {"t": "b.t", "param": f"b.params[{e.name!r}]"}.get(e.kind)
-            source = source or f"b.{e.kind}[{e.index - 1!r}]"  # b.q or b.v
-            variables[e] = assign(f"_coerce({source})", reads)[0]
-        return variables[e], 0
-
     def lower(e: Expr) -> tuple:
         if isinstance(e, Const):
             return bind(e.value), 0
         if isinstance(e, Var):
-            return read(e)
+            if e not in variables:
+                variables[e] = assign(read(e), reads)
+            return variables[e]
         args = [done[id(x)] for x in _operands(e)]
         if isinstance(e, (Pow, Call)):
             fn = _pow_fn(e.exponent) if isinstance(e, Pow) else _function(e.fn)[0]
@@ -615,10 +616,8 @@ def _emit(roots) -> tuple:
             else:
                 stack.append((node, True))
                 stack += ((x, False) for x in reversed(_operands(node)))
-    if reads:  # a failed read raises for the first variable b does not supply
-        handler = ["except Exception:", f"    _unbound(b, {bind(tuple(variables))})", "    raise"]
-        reads = ["try:", *(f"    {r}" for r in reads), *handler]
-    return reads + lines, [done[id(r)][0] for r in roots], env
+    exec(_code(write(reads + lines, [done[id(r)][0] for r in roots])), env)
+    return env
 
 
 @functools.lru_cache(maxsize=256)
@@ -627,11 +626,24 @@ def _code(source: str):
 
 
 def _program(roots, joint: bool):
-    lines, results, env = _emit(roots)
-    value = f"({''.join(r + ', ' for r in results)})" if joint else results[0]
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(_code(f"def program(b):\n{body}    return {value}\n"), env)
-    return env.pop("program")  # so the function and its globals form no cycle
+    variables = []
+
+    def read(v: Var) -> str:  # b.t, b.q[k], b.v[k] or b.params[name] of the Bindings b
+        variables.append(v)
+        source = {"t": "b.t", "param": f"b.params[{v.name!r}]"}.get(v.kind)
+        return f"_coerce({source or f'b.{v.kind}[{v.index - 1!r}]'})"
+
+    def write(lines, values) -> str:
+        if variables:  # a failed read raises for the first variable b does not supply
+            reads, lines = lines[: len(variables)], lines[len(variables) :]
+            handler = ["except Exception:", "    _unbound(b, _variables)", "    raise"]
+            lines = ["try:", *(f"    {r}" for r in reads), *handler, *lines]
+        value = f"({''.join(v + ', ' for v in values)})" if joint else values[0]
+        return "def program(b):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {value}\n"
+
+    env = generate(roots, read, write)
+    env["_variables"] = tuple(variables)
+    return env.pop("program")
 
 
 def compile(e: Expr):

@@ -30,15 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .funcspace import Path, TimeGrid, sample
-from .lagdsl import (
-    Bindings,
-    compile,
-    compile_all,
-    diff,
-    free_variables,
-    parse,
-    references_velocity,
-)
+from .lagdsl import Bindings, compile, diff, free_variables, generate, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path
 from .varcalc import NoetherReport, ResidualReport
 
@@ -55,6 +47,8 @@ __all__ = [
 
 _PSI_FLOOR = 1e-12
 _DIVERGENCE_LIMIT = 1e6
+_COLLAPSE = f"wavefunction magnitude at or below {_PSI_FLOOR} on the probed region"
+_DIVERGENCE = "trajectory divergence: |q| exceeded 1e6"
 
 
 class SchrodingerProblem:
@@ -64,8 +58,8 @@ class SchrodingerProblem:
     hbar and m are positive reals and gamma = hbar/(2m) is derived exactly.
     Symbolic partials of psi (time, gradient, diagonal second derivatives)
     are precomputed, and every program the reports run compiled, once: psi,
-    the potential, psi with its gradient (for the trajectory integrator) and
-    the terms of the wave-equation residual.
+    the potential, psi with its gradient, the terms of the wave-equation
+    residual, and one RK4 step of the trajectory integrator.
     """
 
     def __init__(self, psi, potential, hbar: float, m: float, dim: int = 1, params=None):
@@ -91,8 +85,8 @@ class SchrodingerProblem:
         self.psi_qq = tuple(diff(self.psi_q[k], f"q{k + 1}") for k in range(self.dim))
         self._psi = compile(self.psi)
         self._potential = compile(self.potential)
-        self._psi_and_gradient = compile_all((self.psi, *self.psi_q))
-        self._residual_terms = compile_all((self.psi, *self.psi_qq, self.psi_t, self.potential))
+        self._psi_and_gradient, self._step = _generate(self, (self.psi, *self.psi_q), step=True)
+        (self._residual_terms,) = _generate(self, (self.psi, *self.psi_qq, self.psi_t, self.potential))
 
     def _bind(self, t, q) -> Bindings:
         return Bindings(t=t, q=tuple(q), v=(), params=self.params)
@@ -101,16 +95,16 @@ class SchrodingerProblem:
         """Psi(t, q), validated against the magnitude floor."""
         return _above_floor(self._psi(self._bind(t, q)))
 
-    def _psi_first(self, program, b: Bindings) -> tuple:
-        """program(b), where the program's first value is Psi, with Psi checked.
+    def _psi_first(self, program, t, q) -> tuple:
+        """program(t, *q), where the program's first value is Psi, with Psi checked.
 
         A failure or collapse of Psi is reported first, as evaluating Psi on
         its own before the rest would report it.
         """
         try:
-            values = program(b)
+            values = program(t, *q)
         except NumericalError:
-            _above_floor(self._psi(b))
+            self.psi_values(t, q)
             raise
         _above_floor(values[0])
         return values
@@ -122,17 +116,61 @@ def _above_floor(psi):
     else:  # complex abs raises OverflowError where |psi| overflows; hypot gives inf
         smallest = math.hypot(psi.real, psi.imag)
     if smallest <= _PSI_FLOOR:
-        raise NumericalError(
-            f"wavefunction magnitude at or below {_PSI_FLOOR} on the probed region"
-        )
+        raise NumericalError(_COLLAPSE)
     return psi
 
 
-def _check_bounded(y: tuple) -> None:
-    """Divergence check of one RK4 stage; hypot, where complex abs could overflow."""
-    for z in y:
-        if not cmath.isfinite(z) or math.hypot(z.real, z.imag) > _DIVERGENCE_LIMIT:
-            raise NumericalError("trajectory divergence: |q| exceeded 1e6")
+def _generate(prob: SchrodingerProblem, roots, step=False) -> tuple:
+    """program(t, q0, ..., q{d-1}) -> the roots' values, parameters bound once as
+    complex(value); with step (roots Psi and its gradient) also step(s, h, a0, ...),
+    one RK4 step of dq/dt = -2i*gamma*grad Psi/Psi from q = a at t = s.  Each stage
+    checks its input for divergence, runs the same body, re-evaluates Psi alone at
+    its own (t, q) when the body fails (as _psi_first does), checks the floor and
+    takes c*dPsi/dq_k/Psi; the RK4 combinations are the textbook ones, op for op."""
+    params = {}
+
+    def read(v) -> str:
+        if v.kind != "param":
+            return "_coerce(t)" if v.kind == "t" else f"_coerce(q{v.index - 1})"
+        if v.name not in prob.params:
+            raise ValidationError(f"unbound parameter {v.name!r}")
+        params[f"param_{v.name}"] = complex(prob.params[v.name])
+        return f"param_{v.name}"
+
+    def each(form: str) -> str:  # form for every component k, each followed by a comma
+        return "".join(form.format(k=k) + ", " for k in range(prob.dim))
+
+    def function(head: str, body) -> str:
+        return f"def {head}:" + "".join(f"\n    {line}" for line in body) + "\n"
+
+    def write(lines, values) -> str:
+        source = function(f"program(t, {each('q{k}')})", [*lines, f"return ({', '.join(values)},)"])
+        if not step:
+            return source
+        # hypot, where complex abs could overflow; of a finite q_k it is never nan
+        bounded = " and ".join(
+            f"isfinite(q{k}) and hypot(q{k}.real, q{k}.imag) <= {_DIVERGENCE_LIMIT!r}"
+            for k in range(prob.dim)
+        )
+        # the stages read scalars only, and _coerce makes a scalar complex(x)
+        body = ["half, sixth, _coerce = 0.5 * h, h / 6.0, complex"]
+        stages = (("s", "a{k}"), ("s + half", "a{k} + half * k1_{k}"),
+                  ("s + half", "a{k} + half * k2_{k}"), ("s + h", "a{k} + h * k3_{k}"))
+        for j, (t, q) in enumerate(stages, 1):
+            body.append(f"t, {each('q{k}')}= {t}, {each(q)}")
+            body.append(f"if not ({bounded}): raise NumericalError({_DIVERGENCE!r})")
+            body += ["try:", *(f"    {line}" for line in lines)]
+            body.append(f"    psi, {each('d{k}')}= {', '.join(values)}")
+            body += ["except NumericalError:", f"    psi_values(t, ({each('q{k}')}))", "    raise"]
+            body.append(f"if hypot(psi.real, psi.imag) <= {_PSI_FLOOR!r}: raise NumericalError({_COLLAPSE!r})")
+            body += [f"k{j}_{k} = c * d{k} / psi" for k in range(prob.dim)]
+        body.append(f"return ({each('a{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})')})")
+        return source + function(f"step(s, h, {each('a{k}')})", body)
+
+    env = generate(roots, read, write)
+    env.update(params, c=-2j * prob.gamma, isfinite=cmath.isfinite, hypot=math.hypot)
+    env.update(NumericalError=NumericalError, psi_values=prob.psi_values)
+    return (env.pop("program"), env.pop("step")) if step else (env.pop("program"),)
 
 
 @dataclass(frozen=True)
@@ -171,7 +209,7 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         raise ValidationError(
             f"probe positions have shape {qs.shape}, expected ({ts.size}, {prob.dim})"
         )
-    psi, *values = prob._psi_first(prob._residual_terms, prob._bind(ts, qs.T))
+    psi, *values = prob._psi_first(prob._residual_terms, ts, qs.T)
     lap = np.zeros(ts.shape, dtype=np.complex128)
     for psi_qq in values[: prob.dim]:
         lap = lap + psi_qq
@@ -182,17 +220,11 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
 
 def _log_gradient_sum(prob: SchrodingerProblem, t, q):
     """sum_k (dPsi/dq_k)/Psi in quotient form, branch-free."""
-    psi, *grad = prob._psi_first(prob._psi_and_gradient, prob._bind(t, q))
+    psi, *grad = prob._psi_first(prob._psi_and_gradient, t, q)
     total = 0.0 + 0.0j
     for dq in grad:
         total = total + dq / psi
     return total
-
-
-def _velocity(prob: SchrodingerProblem, b: Bindings) -> tuple:
-    values = prob._psi_first(prob._psi_and_gradient, b)
-    psi, c = values[0], -2j * prob.gamma
-    return tuple([c * dq / psi for dq in values[1:]])
 
 
 def velocity_field(prob: SchrodingerProblem, t: float, q) -> np.ndarray:
@@ -200,21 +232,9 @@ def velocity_field(prob: SchrodingerProblem, t: float, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128).ravel()
     if q.size != prob.dim:
         raise ValidationError(f"position has {q.size} components, expected {prob.dim}")
-    return np.array(_velocity(prob, prob._bind(t, q)), dtype=np.complex128)
-
-
-def _rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, tuple([a + half * k for a, k in zip(y, k1)]))
-    k3 = rhs(t + half, tuple([a + half * k for a, k in zip(y, k2)]))
-    k4 = rhs(t + h, tuple([a + h * k for a, k in zip(y, k3)]))
-    return tuple(
-        [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-    )
+    psi, *grad = prob._psi_first(prob._psi_and_gradient, t, q)
+    c = -2j * prob.gamma
+    return np.array([c * dq / psi for dq in grad], dtype=np.complex128)
 
 
 def integrate_trajectory(prob: SchrodingerProblem, q0, grid: TimeGrid) -> Trajectory:
@@ -223,26 +243,22 @@ def integrate_trajectory(prob: SchrodingerProblem, q0, grid: TimeGrid) -> Trajec
     q0 anchors the trajectory at t = a; nodes right of a are reached forward,
     the left padding backward.  Aborts on wavefunction collapse under the
     magnitude floor or on divergence (|q| > 1e6), both checked at every
-    stage.  The state is a tuple of Python complex numbers, one per
-    component, with one Bindings per stage.
+    stage.  The state is a tuple of scalars, one per component; each step
+    is one call of the problem's generated RK4 step, which runs the four
+    stages and their checks with no Bindings.
     """
     q0 = np.asarray(q0, dtype=np.complex128).ravel()
     if q0.size != prob.dim:
         raise ValidationError(f"q0 has {q0.size} components, expected {prob.dim}")
-
-    def rhs(t, y):
-        _check_bounded(y)
-        return _velocity(prob, Bindings(t=t, q=y, v=(), params=prob.params))
-
     ts = grid.nodes().tolist()
     rows = [()] * len(ts)
     anchor = grid.pad_steps
     rows[anchor] = tuple(q0.tolist())
-    h = grid.h
+    h, step = grid.h, prob._step
     for i in range(anchor, len(ts) - 1):
-        rows[i + 1] = _rk4_step(rhs, ts[i], rows[i], h)
+        rows[i + 1] = step(ts[i], h, *rows[i])
     for i in range(anchor, 0, -1):
-        rows[i - 1] = _rk4_step(rhs, ts[i], rows[i], -h)
+        rows[i - 1] = step(ts[i], -h, *rows[i])
     path = Path.from_samples(grid, np.array(rows, dtype=np.complex128), label="trajectory")
     return Trajectory(path=path, q0=q0, grid=grid)
 

@@ -568,6 +568,10 @@ def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
             0.002,
         ),
         ("invariance_time_translation", ("grid.pad=0.01", "problem.xi=1/(t+0.008)"), 0.001),
+        # the configured path itself is sampled only up to the reach
+        ("noether_free_particle", ("problem.path=1/(t+0.008)",), 0.001),
+        ("check_el_oscillator", ("grid.pad=0.01", "problem.path=cos(t)+0.001/(t+0.008)"), 0.002),
+        ("deriv_parabola", ("grid.pad=0.05", "problem.path=t^2+0.001/(t+0.02)"), 0.01),
     ],
 )
 def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, config, overrides, reach):

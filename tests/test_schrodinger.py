@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_evaluate
 from scalevar import (
@@ -7,6 +11,7 @@ from scalevar import (
     NumericalError,
     ScaleParams,
     SchrodingerProblem,
+    TimeGrid,
     ValidationError,
     energy_constant,
     integrate_trajectory,
@@ -245,13 +250,96 @@ def _reference_trajectory(prob, q0, grid):
             ),
             [0.6, -0.4 + 0.1j],
         ),
+        (
+            # parameters in the width (so in the velocity) and in the phase
+            SchrodingerProblem(
+                "exp(-k*q1^2/2)*exp(-i*w*t)", "0.5*q1^2", 0.9, 1.1, params={"k": 1.2 + 0.1j, "w": 0.6}
+            ),
+            [0.7 - 0.2j],
+        ),
     ],
-    ids=["1-D", "2-D"],
+    ids=["1-D", "2-D", "params"],
 )
 def test_trajectory_matches_reference_walk_bitwise(prob, q0):
     grid = make_grid(0.0, 0.5, 250, 0.01)
     traj = integrate_trajectory(prob, q0, grid)
     assert np.array_equal(traj.path.values, _reference_trajectory(prob, q0, grid))
+
+
+_UNIT = st.floats(0.5, 2.0)
+_COMPONENT = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.floats(0.2, 2.0), min_size=1, max_size=3),
+    energy=st.floats(0.1, 3.0),
+    as_param=st.booleans(),
+    hbar=_UNIT,
+    m=_UNIT,
+    data=st.data(),
+    b=st.floats(0.25, 1.0),
+    n=st.integers(2, 40),
+    pad_steps=st.integers(0, 6),
+)
+def test_trajectory_matches_reference_walk_bitwise_property(
+    widths, energy, as_param, hbar, m, data, b, n, pad_steps
+):
+    # Gaussian-type psi in 1-3 dimensions, its phase rate inline or a parameter;
+    # a padded grid runs the backward pass as well as the forward one
+    dim = len(widths)
+    gauss = " + ".join(f"{w!r}*q{k + 1}^2" for k, w in enumerate(widths))
+    rate, params = ("e", {"e": energy}) if as_param else (repr(energy), {})
+    prob = SchrodingerProblem(f"exp(-({gauss})/2)*exp(-i*{rate}*t)", "0", hbar, m, dim, params)
+    q0 = data.draw(st.lists(_COMPONENT, min_size=dim, max_size=dim))
+    grid = TimeGrid(0.0, b, n, pad_steps)
+    traj = integrate_trajectory(prob, q0, grid)
+    assert traj.path.values.tobytes() == _reference_trajectory(prob, q0, grid).tobytes()
+
+
+# Dyadic grid: every node and stage time (s, s +- h/2, s +- h) is exact, so an
+# expression can be made to fail at one chosen RK4 stage.  Stages 2 and 3 share
+# a time, stage 4 of one step has the time of the next step's stage 1.
+_DYADIC = make_grid(0.0, 1.0, 16, 0.25)
+_COLLAPSE = "wavefunction magnitude at or below 1e-12 on the probed region"
+_DIVERGENCE = "trajectory divergence: |q| exceeded 1e6"
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        # psi = sqrt(q1*(t - c)) is 0 at t = c, where its gradient
+        # (t - c)/(2*sqrt(q1*(t - c))) divides by zero: the collapse is reported
+        ("sqrt(q1*(t - 0.28125))", _COLLAPSE),  # stage 2 of the step from 0.25
+        ("sqrt(q1*(t - 0.25))", _COLLAPSE),  # stage 4 of the step from 0.1875
+        ("sqrt(q1*(t + 0.09375))", _COLLAPSE),  # backward, stage 2 of the step from -0.0625
+        ("sqrt(q1*(t + 0.125))", _COLLAPSE),  # backward, stage 4 of the step from -0.0625
+        # (q1 - 0.5)^50 overflows at the diverged position, so running the
+        # program before the divergence check would report an overflow instead
+        ("exp(i*1e10*q1)*(1 + (q1 - 0.5)^50)", _DIVERGENCE),  # stage 2: v = 1e10 at stage 1
+        ("exp(i*1e10*t*q1)*(1 + (q1 - 0.5)^50)", _DIVERGENCE),  # stage 3: v = 1e10*t
+        # stage 4: v = t + 1e11*(q1 - 0.5), zero at stage 1, 1/32 at stage 2
+        ("exp(i*(t*q1 + 1e11*(q1 - 0.5)^2/2))*(1 + (q1 - 0.5)^50)", _DIVERGENCE),
+        # backward, stage 3: v = 200*exp(-400*t) is small for t >= 0
+        ("exp(i*200*exp(-400*t)*q1)*(1 + (q1 - 0.5)^50)", _DIVERGENCE),
+    ],
+)
+def test_trajectory_guards_fire_in_order_at_later_stages(psi, message):
+    prob = SchrodingerProblem(psi, "0", 1.0, 1.0)
+    q0 = [1.0] if psi.startswith("sqrt") else [0.5]
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        integrate_trajectory(prob, q0, _DYADIC)
+
+
+@pytest.mark.parametrize("psi", ["(1+i)*1e308*(1 + t)", "(1+i)*1e308*(1 - t)"])
+def test_trajectory_floor_check_takes_an_overflowing_psi(psi):
+    # |psi| overflows (Python's complex abs raises) beyond |t| = 0.271, first at
+    # stage 4 of the step from 0.25, or of the backward step from -0.25; psi
+    # and the zero velocity stay finite on [-0.5, 0.75], so q rests at q0
+    prob = SchrodingerProblem(psi, "0", 1.0, 1.0)
+    grid = make_grid(0.0, 0.25, 8, 0.5)
+    traj = integrate_trajectory(prob, [0.25 + 0.5j], grid)
+    assert np.all(traj.path.values == 0.25 + 0.5j)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scalevar import lagdsl
+from scalevar import lagdsl, schrodinger
 from scalevar import (
     GridError,
     LagrangianSpec,
@@ -350,6 +350,8 @@ def test_programs_are_built_when_the_specs_are(monkeypatch):
     built = []
     program = lagdsl._program
     monkeypatch.setattr(lagdsl, "_program", lambda roots, joint: built.append(roots) or program(roots, joint))
+    generate = schrodinger.generate  # the positional programs and the RK4 step
+    monkeypatch.setattr(schrodinger, "generate", lambda roots, *rest: built.append(roots) or generate(roots, *rest))
     Lg = LagrangianSpec.from_text("0.5*v1^2 - 0.5*q1^2 + 0.1*t*q1")
     sym = SymmetrySpec.from_text("1", "0.5 + t")
     gauss = SchrodingerProblem("exp(-q1^2/2)*exp(-i*t/2)", "0.5*q1^2", 1.0, 1.0)
