@@ -4,8 +4,9 @@ plus a JSON summary.
 Usage:  scalevar run <config.json> [--set key=value]...
 
 Exit codes: 0 success, 2 validation error (schema, expressions, grids; the
-message names the field, and a grid or probe count over _MAX_NODES fails
-before any allocation), 3 numerical failure (NaN, divergence, degenerate
+message names the field, and a grid or probe count over _MAX_NODES, or a
+holder series of more than _MAX_SERIES_CELLS probe-term cosines, fails before
+any allocation), 3 numerical failure (NaN, divergence, degenerate
 data).  Each command returns a header, a float64 table and a summary; both
 texts are rendered and checked for finiteness before either file is written,
 so a failed run writes neither.  CSV numbers are repr() of the floats.  Both
@@ -53,6 +54,9 @@ __all__ = ["run", "main", "COMMANDS"]
 
 # the most padded grid nodes, or holder probes per delta, a run may allocate
 _MAX_NODES = 2_000_000
+# the most cosines (probes times series terms) one Weierstrass evaluation may
+# allocate, 8 bytes each; the bundled config at _MAX_NODES probes takes 82M
+_MAX_SERIES_CELLS = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +450,14 @@ def _cmd_holder(cfg):
         trunc_tol = _real(cfg, "problem.weierstrass.trunc_tol")
         with _naming("problem.weierstrass"):
             p = weierstrass(a_coef, b_base, trunc_tol)
+        terms = p.meta["series_terms"]
+        if sample_count * terms > _MAX_SERIES_CELLS:
+            raise ValidationError(
+                f'invalid field "problem.sample_count": {sample_count} probes of a {terms}-term '
+                f"Weierstrass series exceed the limit of {_MAX_SERIES_CELLS} cosines"
+            )
         # the series takes cos(t * pi * b_base^k) for t on the grid, k < series_terms
-        top = math.pi * b_base ** (p.meta["series_terms"] - 1)
+        top = math.pi * b_base ** (terms - 1)
         if not math.isfinite(max(abs(grid.a), abs(grid.b)) * top):
             raise ValidationError('invalid field "grid": the Weierstrass series overflows on it')
     else:

@@ -13,7 +13,10 @@ fabricating boundary values.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,10 @@ _STEP_TOL = 1e-9
 
 _SIMPSON_PANELS = 64
 _MAX_SERIES_TERMS = 100_000
+# Fewest rows of the series' cosine table a thread takes.  Starting and joining
+# a thread costs about 0.13 ms on a 2-core x86 box; 1024 rows of cosines cost
+# 0.2 ms at 10 terms and 1.6-2 ms at 30, where arguments past b^17 slow cos.
+_ROWS_PER_THREAD = 1024
 
 
 def parse_sigma(sigma) -> int:
@@ -284,7 +291,9 @@ def weierstrass(a_coef: float, b_base: float, trunc_tol: float) -> Path:
     a^(N+1)/(1-a) drops below trunc_tol.  The oscillation exponent
     -ln(a)/ln(b) is attached as meta["holder_alpha"].  Requires 0 < a < 1,
     b > 1 and a*b >= 1 (the regime where the series is nowhere smooth for
-    a*b > 1).  Evaluation is deterministic: fixed term order, fixed dtype.
+    a*b > 1).  Evaluation is deterministic: fixed term order, fixed dtype, and
+    the same bits whatever the thread count; the cosines run on the CPUs in
+    the process's affinity mask.
     """
     if not (0.0 < a_coef < 1.0):
         raise ValidationError(f"a_coef must lie in (0, 1), got {a_coef}")
@@ -306,7 +315,10 @@ def weierstrass(a_coef: float, b_base: float, trunc_tol: float) -> Path:
         raise ValidationError(f"b_base={b_base} makes the series frequencies overflow")
 
     def series(ts, _coef=coef, _freq=freq):
-        return np.cos(np.multiply.outer(np.asarray(ts, dtype=float), _freq)) @ _coef
+        x = np.multiply.outer(np.asarray(ts, dtype=float), _freq)
+        _cos_in_place(x)
+        # one matmul over all rows: BLAS kernel tails give row blocks other bits
+        return x @ _coef
 
     alpha = -math.log(a_coef) / math.log(b_base)
     return Path.from_callable(
@@ -316,6 +328,44 @@ def weierstrass(a_coef: float, b_base: float, trunc_tol: float) -> Path:
         label=f"weierstrass(a={a_coef}, b={b_base})",
         meta={"holder_alpha": alpha, "series_terms": nterms},
     )
+
+
+def _cos_in_place(x: np.ndarray) -> None:
+    """x = cos(x) in contiguous row blocks, one per CPU the process may use.
+
+    Block 0 runs on the calling thread, every other block on its own thread
+    inside a copy of the caller's context, so np.errstate holds there too.
+    cos is elementwise, so the bits do not depend on the split.  The first
+    exception in block order is raised once every thread has joined.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    k = max(1, min(cpus, len(x) // _ROWS_PER_THREAD))
+    bounds = [len(x) * i // k for i in range(k + 1)]
+    errors = [None] * k
+
+    def work(i):
+        block = x[bounds[i] : bounds[i + 1]]
+        try:
+            np.cos(block, out=block)
+        except Exception as err:  # raised on the calling thread below
+            errors[i] = err
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, i))
+        for i in range(1, k)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,18 @@ def same_bits(x, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reference Weierstrass series: the serial formula that funcspace.weierstrass
+# evaluated on one thread, kept as the oracle for bitwise comparisons
+
+
+def reference_weierstrass(ts, a_coef: float, b_base: float, nterms: int) -> np.ndarray:
+    """sum_n a^n cos(b^n pi t) over nterms terms: one cos table, one matmul."""
+    coef = a_coef ** np.arange(nterms)
+    freq = np.pi * b_base ** np.arange(nterms)
+    return np.cos(np.multiply.outer(np.asarray(ts, dtype=float), freq)) @ coef
+
+
+# ---------------------------------------------------------------------------
 # reference CSV writer: the per-cell path that the cli table writer replaced,
 # copied with its helper as the oracle for byte comparisons
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_series_rows, reference_write_csv
-from scalevar import NumericalError
+from scalevar import NumericalError, cli
 from scalevar.cli import _csv_text, _table, run
 from scalevar.lagdsl import MAX_DEPTH
 
@@ -183,6 +183,34 @@ def test_holder_config_errors_name_their_field(tmp_path, capsys, override, field
     assert f'invalid field "{field}"' in err
     assert "Traceback" not in err
     assert not csv_path.exists()
+
+
+def test_oversize_weierstrass_series_exits_two_before_allocating(tmp_path, capsys, monkeypatch):
+    config = CONFIG_DIR / "holder_weierstrass.json"
+    # 100000 probes of 89476 terms would be a 66.7 GiB cosine table
+    code, csv_path, _ = _run(
+        tmp_path,
+        config,
+        "problem.weierstrass.a_coef=0.9999",
+        "problem.weierstrass.b_base=1.0002",
+        "problem.weierstrass.trunc_tol=1.3",
+        "problem.sample_count=100000",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert 'invalid field "problem.sample_count": 100000 probes of a 89476-term' in err
+    assert "Traceback" not in err and not csv_path.exists()
+
+    def estimator_reached(*args, **kwargs):
+        raise NumericalError("estimator reached")
+
+    # the bundled 41-term series passes at the most probes a run allows; 51 terms do not
+    monkeypatch.setattr(cli, "estimate_holder", estimator_reached)
+    assert _run(tmp_path, config, "problem.sample_count=2000000")[0] == 3
+    assert "estimator reached" in capsys.readouterr().err
+    code, _, _ = _run(tmp_path, config, "problem.sample_count=2000000", "problem.weierstrass.trunc_tol=1e-15")
+    assert code == 2
+    assert 'invalid field "problem.sample_count": 2000000 probes of a 51-term' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,16 @@
+import contextlib
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_weierstrass
 from scalevar import (
     DomainError,
     GridError,
@@ -16,6 +24,7 @@ from scalevar import (
     sample,
     weierstrass,
 )
+from scalevar.funcspace import _ROWS_PER_THREAD as ROWS
 
 LN2_OVER_LN3 = math.log(2.0) / math.log(3.0)
 
@@ -174,6 +183,83 @@ def test_weierstrass_deterministic():
     v1 = weierstrass(0.5, 3.0, 1e-12).at_many(ts)
     v2 = weierstrass(0.5, 3.0, 1e-12).at_many(ts)
     assert np.array_equal(v1, v2)
+
+
+@contextlib.contextmanager
+def _cpus(n):
+    """The process may run on n CPUs; counts the threads started meanwhile."""
+    started = []
+    start = threading.Thread.start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        mp.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
+        yield started
+
+
+def _series_case(a_coef, b_base, nterms):
+    """A series of exactly nterms terms, and its serial reference."""
+    w = weierstrass(a_coef, b_base, a_coef**nterms / (1.0 - a_coef) * (1.0 + 1e-6))
+    assert w.meta["series_terms"] == nterms
+    return w, lambda ts: reference_weierstrass(ts, a_coef, b_base, nterms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.one_of(st.sampled_from([0, 1, ROWS - 1]), st.integers(2 * ROWS, 8 * ROWS + 7)),
+    cpus=st.sampled_from([1, 2, 3, 8]),
+    b_base=st.floats(1.5, 3.5),
+    a_frac=st.floats(0.0, 1.0),
+    nterms=st.integers(1, 45),
+    lo=st.floats(-4.0, 4.0),
+    width=st.floats(0.0, 4.0),
+)
+@example(rows=3 * ROWS + 1, cpus=3, b_base=3.0, a_frac=0.5, nterms=41, lo=0.0, width=1.0)
+@example(rows=8 * ROWS + 7, cpus=8, b_base=3.5, a_frac=0.2, nterms=45, lo=-1.0, width=3.0)
+@example(rows=2 * ROWS + 1, cpus=2, b_base=1.5, a_frac=0.0, nterms=1, lo=0.5, width=0.0)
+def test_weierstrass_matches_the_serial_series_bitwise(rows, cpus, b_base, a_frac, nterms, lo, width):
+    # a in [1.001/b, 0.9]: a*b >= 1 after rounding, and a tail bound that picks exactly nterms
+    a_coef = 1.001 / b_base + a_frac * (0.9 - 1.001 / b_base)
+    w, reference = _series_case(a_coef, b_base, nterms)
+    ts = np.linspace(lo, lo + width, rows)
+    with _cpus(cpus) as started:
+        got = w.at_many(ts)
+    want = np.asarray(reference(ts), dtype=np.complex128).reshape(rows, 1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(started) == max(1, min(cpus, rows // ROWS)) - 1
+
+
+def test_weierstrass_threads_keep_the_bits_under_fast_switching():
+    w, reference = _series_case(0.6, 3.3, 40)
+    ts = np.linspace(-1.3, 2.1, 8 * ROWS + 5)
+    want = reference(ts).tobytes()
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    runs = 0
+    try:
+        with _cpus(8) as started:
+            deadline = time.monotonic() + 2.0
+            while runs < 20 and time.monotonic() < deadline:
+                assert w.at_many(ts)[:, 0].real.tobytes() == want
+                runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs >= 1 and len(started) == 7 * runs
+    assert not any(t.is_alive() for t in started) and threading.active_count() == before
+
+
+def test_weierstrass_threads_raise_under_the_callers_errstate():
+    # the inf lands in the last of 8 blocks, which a worker thread computes
+    w, reference = _series_case(0.5, 3.0, 41)
+    ts = np.linspace(0.0, 1.0, 8 * ROWS)
+    ts[-1] = np.inf
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError) as serial:
+            reference(ts)
+        with _cpus(8) as started, pytest.raises(FloatingPointError) as threaded:
+            w.at_many(ts)
+    assert str(threaded.value) == str(serial.value) == "invalid value encountered in cos"
+    assert len(started) == 7 and not any(t.is_alive() for t in started)
 
 
 # ---------------------------------------------------------------------------
