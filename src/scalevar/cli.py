@@ -47,6 +47,7 @@ from .varcalc import (
     functional_integrand,
     invariance_derivative,
     invariance_integrand,
+    modulus,
     noether_constant,
 )
 
@@ -384,7 +385,7 @@ def _cmd_invariance(cfg):
         derivative_im=derivative.imag,
         integral_re=integral.real,
         integral_im=integral.imag,
-        difference_abs=abs(derivative - integral),
+        difference_abs=modulus(derivative - integral),
     )
 
 

@@ -38,12 +38,13 @@ function call and guarded division is a statement, in walk order.
 compile_all(exprs) returns the values of several expressions as a tuple,
 computing a subtree they share once.  Both are built on the one emitter,
 generate(roots, read, write), whose caller gives the source of each
-variable read and the functions around the statements:
-SchrodingerProblem reads t and q positionally, binds its parameters once
-as constants and writes its RK4 step around the same statements.  Code
-objects are cached by source text.  evaluate(e, b) is compile(e)(b); the
-classes that declare expressions (ScalarField, the varcalc specs,
-SchrodingerProblem) compile them once, at construction.
+variable read and the functions around the statements, told where each
+root is complete: SchrodingerProblem reads t and q positionally, binds its
+parameters once as constants, checks Psi where it is complete and writes
+its RK4 step around the same statements.  Code objects are cached by source
+text.  evaluate(e, b) is compile(e)(b); the classes that declare
+expressions (ScalarField, the varcalc specs, SchrodingerProblem) build
+their programs once, at construction.
 
 Evaluation guards, which every compiled function keeps: a failed read
 raises ValidationError for the first unbound parameter or missing q/v
@@ -544,11 +545,13 @@ def generate(roots, read, write) -> dict:
 
     read(v) gives the source of the value of the variable v (a Var) as the
     generated function receives it: _coerce(b.t) from Bindings b, or
-    _coerce(q0) from a parameter q0.  write(lines, values) gives the source
-    that defines the functions: lines compute every root, the first of them
-    reading each variable once (one line per call of read), and values holds
-    one expression per root.  Each distinct node (keyed by identity, never
-    by value: Const(1.0) == Const(1+0j)) is computed once, a node inlined or
+    _coerce(q0) from a parameter q0.  write(lines, values, ends) gives the
+    source that defines the functions: lines compute every root, the first of
+    them reading each variable once (one line per call of read), values holds
+    one expression per root, and values[j] is complete after the first
+    ends[j] lines (all reads, then the statements of roots 0..j, in root
+    order).  Each distinct node (keyed by identity, never by value:
+    Const(1.0) == Const(1+0j)) is computed once, a node inlined or
     made a statement as the module docstring's evaluation model says.
     Constants and callables reach the lines only as names of globals,
     _coerce among them; every name in the lines begins with an underscore,
@@ -605,6 +608,7 @@ def generate(roots, read, write) -> dict:
             return source, nesting
         return assign(source)
 
+    ends = []
     for root in roots:
         stack = [(root, False)]
         while stack:
@@ -616,7 +620,9 @@ def generate(roots, read, write) -> dict:
             else:
                 stack.append((node, True))
                 stack += ((x, False) for x in reversed(_operands(node)))
-    exec(_code(write(reads + lines, [done[id(r)][0] for r in roots])), env)
+        ends.append(len(lines))  # the reads, which all come first, are added below
+    values = [done[id(r)][0] for r in roots]
+    exec(_code(write(reads + lines, values, [len(reads) + end for end in ends])), env)
     return env
 
 
@@ -633,7 +639,7 @@ def _program(roots, joint: bool):
         source = {"t": "b.t", "param": f"b.params[{v.name!r}]"}.get(v.kind)
         return f"_coerce({source or f'b.{v.kind}[{v.index - 1!r}]'})"
 
-    def write(lines, values) -> str:
+    def write(lines, values, _ends) -> str:
         if variables:  # a failed read raises for the first variable b does not supply
             reads, lines = lines[: len(variables)], lines[len(variables) :]
             handler = ["except Exception:", "    _unbound(b, _variables)", "    raise"]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .funcspace import Path, TimeGrid, sample
-from .lagdsl import Bindings, compile, diff, free_variables, generate, parse, references_velocity
+from .lagdsl import diff, free_variables, generate, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path
 from .varcalc import NoetherReport, ResidualReport
 
@@ -57,9 +57,9 @@ class SchrodingerProblem:
     psi is an expression over (t, q1..qd), the potential over (q1..qd) only;
     hbar and m are positive reals and gamma = hbar/(2m) is derived exactly.
     Symbolic partials of psi (time, gradient, diagonal second derivatives)
-    are precomputed, and every program the reports run compiled, once: psi,
-    the potential, psi with its gradient, the terms of the wave-equation
-    residual, and one RK4 step of the trajectory integrator.
+    are precomputed, and every program the reports run generated, once, in
+    three passes: the potential; psi with its gradient, psi alone and one RK4
+    step of the trajectory integrator; the terms of the wave-equation residual.
     """
 
     def __init__(self, psi, potential, hbar: float, m: float, dim: int = 1, params=None):
@@ -83,31 +83,19 @@ class SchrodingerProblem:
         self.psi_t = diff(self.psi, "t")
         self.psi_q = tuple(diff(self.psi, f"q{k + 1}") for k in range(self.dim))
         self.psi_qq = tuple(diff(self.psi_q[k], f"q{k + 1}") for k in range(self.dim))
-        self._psi = compile(self.psi)
-        self._potential = compile(self.potential)
-        self._psi_and_gradient, self._step = _generate(self, (self.psi, *self.psi_q), step=True)
+        (self._potential,) = _generate(self, (self.potential,))
+        self._psi, self._psi_and_gradient, self._step = _generate(self, (self.psi, *self.psi_q), step=True)
         (self._residual_terms,) = _generate(self, (self.psi, *self.psi_qq, self.psi_t, self.potential))
 
-    def _bind(self, t, q) -> Bindings:
-        return Bindings(t=t, q=tuple(q), v=(), params=self.params)
-
     def psi_values(self, t, q):
-        """Psi(t, q), validated against the magnitude floor."""
-        return _above_floor(self._psi(self._bind(t, q)))
+        """Psi(t, q), checked against the magnitude floor; q has one component per dimension."""
+        return self._psi(t, *_position(self, q))
 
-    def _psi_first(self, program, t, q) -> tuple:
-        """program(t, *q), where the program's first value is Psi, with Psi checked.
 
-        A failure or collapse of Psi is reported first, as evaluating Psi on
-        its own before the rest would report it.
-        """
-        try:
-            values = program(t, *q)
-        except NumericalError:
-            self.psi_values(t, q)
-            raise
-        _above_floor(values[0])
-        return values
+def _position(prob: SchrodingerProblem, q):
+    if len(q) != prob.dim:
+        raise ValidationError(f"position has {len(q)} components, expected {prob.dim}")
+    return q
 
 
 def _above_floor(psi):
@@ -122,11 +110,13 @@ def _above_floor(psi):
 
 def _generate(prob: SchrodingerProblem, roots, step=False) -> tuple:
     """program(t, q0, ..., q{d-1}) -> the roots' values, parameters bound once as
-    complex(value); with step (roots Psi and its gradient) also step(s, h, a0, ...),
-    one RK4 step of dq/dt = -2i*gamma*grad Psi/Psi from q = a at t = s.  Each stage
-    checks its input for divergence, runs the same body, re-evaluates Psi alone at
-    its own (t, q) when the body fails (as _psi_first does), checks the floor and
-    takes c*dPsi/dq_k/Psi; the RK4 combinations are the textbook ones, op for op."""
+    complex(value), a first root Psi checked against the floor right after its own
+    statements, so that its failure or collapse is reported first.  With step (roots
+    Psi and its gradient) also psi(t, q0, ...), Psi alone and checked, and
+    step(s, h, a0, ...), one RK4 step of dq/dt = -2i*gamma*grad Psi/Psi from q = a
+    at t = s: each stage checks its input for divergence, runs the same statements
+    and check, and takes c*dPsi/dq_k/Psi; the RK4 combinations are textbook, op for op."""
+    checked = roots[0] is prob.psi
     params = {}
 
     def read(v) -> str:
@@ -143,10 +133,15 @@ def _generate(prob: SchrodingerProblem, roots, step=False) -> tuple:
     def function(head: str, body) -> str:
         return f"def {head}:" + "".join(f"\n    {line}" for line in body) + "\n"
 
-    def write(lines, values) -> str:
-        source = function(f"program(t, {each('q{k}')})", [*lines, f"return ({', '.join(values)},)"])
+    def write(lines, values, ends) -> str:
+        head, rest = lines[: ends[0]], lines[ends[0] :]  # head ends where the first root is complete
+        first = f"above_floor({values[0]})" if checked else values[0]
+        others = "".join(v + ", " for v in values[1:])
+        program = [*head, f"first = {first}", *rest, f"return (first, {others})"]
+        source = function(f"program(t, {each('q{k}')})", program)
         if not step:
             return source
+        source += function(f"psi(t, {each('q{k}')})", [*head, f"return {first}"])
         # hypot, where complex abs could overflow; of a finite q_k it is never nan
         bounded = " and ".join(
             f"isfinite(q{k}) and hypot(q{k}.real, q{k}.imag) <= {_DIVERGENCE_LIMIT!r}"
@@ -159,18 +154,16 @@ def _generate(prob: SchrodingerProblem, roots, step=False) -> tuple:
         for j, (t, q) in enumerate(stages, 1):
             body.append(f"t, {each('q{k}')}= {t}, {each(q)}")
             body.append(f"if not ({bounded}): raise NumericalError({_DIVERGENCE!r})")
-            body += ["try:", *(f"    {line}" for line in lines)]
-            body.append(f"    psi, {each('d{k}')}= {', '.join(values)}")
-            body += ["except NumericalError:", f"    psi_values(t, ({each('q{k}')}))", "    raise"]
+            body += [*head, f"psi = {values[0]}"]
             body.append(f"if hypot(psi.real, psi.imag) <= {_PSI_FLOOR!r}: raise NumericalError({_COLLAPSE!r})")
-            body += [f"k{j}_{k} = c * d{k} / psi" for k in range(prob.dim)]
+            body += [*rest, *(f"k{j}_{k} = c * {values[k + 1]} / psi" for k in range(prob.dim))]
         body.append(f"return ({each('a{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})')})")
         return source + function(f"step(s, h, {each('a{k}')})", body)
 
     env = generate(roots, read, write)
     env.update(params, c=-2j * prob.gamma, isfinite=cmath.isfinite, hypot=math.hypot)
-    env.update(NumericalError=NumericalError, psi_values=prob.psi_values)
-    return (env.pop("program"), env.pop("step")) if step else (env.pop("program"),)
+    env.update(NumericalError=NumericalError, above_floor=_above_floor)
+    return (env.pop("psi"), env.pop("program"), env.pop("step")) if step else (env.pop("program"),)
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,7 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
         raise ValidationError(
             f"probe positions have shape {qs.shape}, expected ({ts.size}, {prob.dim})"
         )
-    psi, *values = prob._psi_first(prob._residual_terms, ts, qs.T)
+    psi, *values = prob._residual_terms(ts, *qs.T)
     lap = np.zeros(ts.shape, dtype=np.complex128)
     for psi_qq in values[: prob.dim]:
         lap = lap + psi_qq
@@ -218,21 +211,10 @@ def schrodinger_residual(prob: SchrodingerProblem, t_nodes, q_nodes) -> Residual
     return ResidualReport.from_samples(ts, res, 1.0 / ts.size)
 
 
-def _log_gradient_sum(prob: SchrodingerProblem, t, q):
-    """sum_k (dPsi/dq_k)/Psi in quotient form, branch-free."""
-    psi, *grad = prob._psi_first(prob._psi_and_gradient, t, q)
-    total = 0.0 + 0.0j
-    for dq in grad:
-        total = total + dq / psi
-    return total
-
-
 def velocity_field(prob: SchrodingerProblem, t: float, q) -> np.ndarray:
     """Induced velocity -2i*gamma (dPsi/dq_k)/Psi per component at (t, q)."""
     q = np.asarray(q, dtype=np.complex128).ravel()
-    if q.size != prob.dim:
-        raise ValidationError(f"position has {q.size} components, expected {prob.dim}")
-    psi, *grad = prob._psi_first(prob._psi_and_gradient, t, q)
+    psi, *grad = prob._psi_and_gradient(t, *_position(prob, q))
     c = -2j * prob.gamma
     return np.array([c * dq / psi for dq in grad], dtype=np.complex128)
 
@@ -245,11 +227,9 @@ def integrate_trajectory(prob: SchrodingerProblem, q0, grid: TimeGrid) -> Trajec
     magnitude floor or on divergence (|q| > 1e6), both checked at every
     stage.  The state is a tuple of scalars, one per component; each step
     is one call of the problem's generated RK4 step, which runs the four
-    stages and their checks with no Bindings.
+    stages and their checks.
     """
-    q0 = np.asarray(q0, dtype=np.complex128).ravel()
-    if q0.size != prob.dim:
-        raise ValidationError(f"q0 has {q0.size} components, expected {prob.dim}")
+    q0 = _position(prob, np.asarray(q0, dtype=np.complex128).ravel())
     ts = grid.nodes().tolist()
     rows = [()] * len(ts)
     anchor = grid.pad_steps
@@ -277,11 +257,14 @@ def energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: ScaleParams)
     ts = g1.nodes()[core]
     qv = sample(p, g1).values[core]
     vv = v_path.values[core]
-    b = prob._bind(ts, tuple(qv.T))
-    potential = np.full(ts.shape, prob._potential(b), dtype=np.complex128)
+    qs = tuple(qv.T)
+    potential = np.full(ts.shape, prob._potential(ts, *qs)[0], dtype=np.complex128)
     v_squared = (vv**2).sum(axis=1)
     theorem = -(0.5 * prob.m) * v_squared - potential
-    grad_sum = _log_gradient_sum(prob, ts, tuple(qv.T))
+    psi, *grad = prob._psi_and_gradient(ts, *qs)
+    grad_sum = 0.0 + 0.0j
+    for dq in grad:  # sum_k (dPsi/dq_k)/Psi in quotient form, branch-free
+        grad_sum = grad_sum + dq / psi
     variant = 2.0 * prob.m * (prob.gamma * grad_sum) ** 2 + potential
     return EnergyReport(
         theorem=NoetherReport.from_samples(ts, theorem),

@@ -149,6 +149,15 @@ class ResidualReport:
         )
 
 
+def modulus(z: complex) -> float:
+    """abs(z), or hypot(re, im) where complex abs raises: inf for |z| overflowing, nan
+    for a NaN part meeting an errno that an earlier overflow left set."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.hypot(z.real, z.imag)
+
+
 @dataclass(frozen=True)
 class NoetherReport:
     """Samples of a candidate conserved quantity C(t) with mean and drift.
@@ -166,7 +175,7 @@ class NoetherReport:
     def from_samples(cls, ts, samples) -> "NoetherReport":
         samples = np.asarray(samples, dtype=np.complex128)
         mean = complex(samples.mean())
-        drift = float(np.max(np.abs(samples - mean)) / max(1.0, abs(mean)))
+        drift = float(np.max(np.abs(samples - mean)) / max(1.0, modulus(mean)))
         return cls(np.asarray(ts, dtype=float), samples, mean, drift)
 
 

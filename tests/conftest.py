@@ -490,7 +490,7 @@ def reference_energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: Sc
     ts = g1.nodes()[core]
     qv = _ref_restrict(p, g1)[core]
     vv = v_path.values[core]
-    b = prob._bind(ts, tuple(qv.T))
+    b = Bindings(t=ts, q=tuple(qv.T), v=(), params=prob.params)
     potential = np.broadcast_to(
         np.asarray(evaluate(prob.potential, b), dtype=np.complex128), ts.shape
     )

@@ -422,6 +422,17 @@ def test_non_finite_value_is_located(tmp_path, capsys, config, L, where):
     assert not csv_path.exists() and not summary_path.exists()
 
 
+def test_invariance_difference_modulus_takes_an_overflow(tmp_path, capsys):
+    # the derivative comes out NaN, and Python's complex abs of derivative - integral
+    # raised OverflowError here (a traceback, exit 1); the summary names the NaN instead
+    config = CONFIG_DIR / "invariance_time_translation.json"
+    code, csv_path, summary_path = _run(tmp_path, config, "problem.xi=q1^300*exp(700)")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert 'numerical failure: non-finite value in summary key "derivative_re"' in err
+    assert "Traceback" not in err and not csv_path.exists() and not summary_path.exists()
+
+
 def test_integer_power_overflow_in_a_derivative_exits_two(tmp_path, capsys):
     # d/dv1 of v1/1e200 folds the quotient rule's 1e200^2
     config = CONFIG_DIR / "functional_free_particle.json"

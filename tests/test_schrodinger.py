@@ -1,25 +1,31 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_evaluate
+from conftest import reference_evaluate, same_bits
 from scalevar import (
     Bindings,
+    ExpressionError,
+    LagrangianSpec,
     NumericalError,
     ScaleParams,
     SchrodingerProblem,
+    SymmetrySpec,
     TimeGrid,
     ValidationError,
     energy_constant,
     integrate_trajectory,
     kinetic_coefficient_identity_gap,
     make_grid,
+    noether_constant,
     schrodinger_residual,
     velocity_field,
 )
+from scalevar import lagdsl, schrodinger
 
 # plane wave with k = 2 and the matching dispersion omega = k^2/2 (hbar = m = 1)
 PLANE = SchrodingerProblem("exp(i*(2*q1 - 2*t))", "0", 1.0, 1.0)
@@ -142,6 +148,28 @@ def test_floor_check_takes_an_overflowing_psi():
     with pytest.raises(OverflowError):
         abs(complex(1.5e308, 1.5e308))
     assert huge.psi_values(0.0, [1.0]) == complex(1.5e308, 1.5e308)
+
+
+def test_a_wrong_component_count_is_named():
+    two = SchrodingerProblem("exp(-(q1^2 + q2^2)/2)", "0", 1.0, 1.0, dim=2)
+    for prob, q in ((GAUSS, [0.5, 1.0]), (GAUSS, []), (two, [0.5]), (two, [0.5, 1.0, 2.0])):
+        message = f"^position has {len(q)} components, expected {prob.dim}$"
+        with pytest.raises(ValidationError, match=message):
+            prob.psi_values(0.0, q)
+        with pytest.raises(ValidationError, match=message):
+            velocity_field(prob, 0.0, q)
+        with pytest.raises(ValidationError, match=message):
+            integrate_trajectory(prob, q, GRID)
+
+
+def test_a_problem_is_generated_in_three_emitter_passes(monkeypatch):
+    built = []
+    monkeypatch.setattr(lagdsl, "_program", lambda *args: pytest.fail("a Bindings program was built"))
+    generate = schrodinger.generate
+    monkeypatch.setattr(schrodinger, "generate", lambda roots, *rest: built.append(roots) or generate(roots, *rest))
+    prob = SchrodingerProblem("exp(-q1^2/2)*exp(-i*t/2)", "0.5*q1^2", 1.0, 1.0)
+    assert [len(roots) for roots in built] == [1, 2, 4]
+    assert built[0][0] is prob.potential and built[1][0] is prob.psi and built[2][0] is prob.psi
 
 
 def test_velocity_requires_nonzero_psi():
@@ -381,6 +409,30 @@ def test_potential_shift_moves_theorem_form_exactly():
     assert moved.theorem.drift == pytest.approx(base.theorem.drift, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "psi, potential, q0",
+    [
+        ("exp(-q1^2/2)*exp(-i*t/2)", "0.5*q1^2", [1.0]),  # the bundled config's problem
+        ("exp(i*(2*q1 - 2*t))", "0", [0.0]),  # plane wave
+        ("exp(-q1^2/2)*exp(-i*t/2)", "0.5*q1^2", [0.3 - 0.4j]),  # an offset complex start
+    ],
+    ids=["gaussian", "plane", "offset"],
+)
+@pytest.mark.parametrize("mu", ["0", "-i"])
+def test_theorem_form_is_the_noether_constant_of_time_translation(psi, potential, q0, mu):
+    # -(m/2) (box q)^2 - U is C = L - dL/dv v for L = (m/2) v^2 - U, tau = 1, xi = 0
+    grid = make_grid(0.0, 1.0, 1000, 0.002)
+    sp = ScaleParams(0.001, mu)
+    prob = SchrodingerProblem(psi, potential, 1.0, 1.0)
+    traj = integrate_trajectory(prob, q0, grid)
+    theorem = energy_constant(prob, traj, sp).theorem
+    Lg = LagrangianSpec.from_text(f"0.5*v1^2 - ({potential})")
+    noether = noether_constant(Lg, traj.path, SymmetrySpec.from_text("1", "0"), sp)
+    assert np.array_equal(theorem.node_times, noether.node_times)
+    # the kinetic and potential terms are of order one, and the forms round them differently
+    assert np.max(np.abs(theorem.constant_samples - noether.constant_samples)) <= 1e-14
+
+
 def test_kinetic_coefficient_identity():
     assert kinetic_coefficient_identity_gap(1.0, 1.0) <= 1.0
     assert kinetic_coefficient_identity_gap(0.9, 1.7) <= 1.0
@@ -398,3 +450,95 @@ def test_problem_validation():
         SchrodingerProblem("v1*q1", "q1", 1.0, 1.0)
     prob = SchrodingerProblem("exp(q1)", "q1", 2.0, 4.0)
     assert prob.gamma == 0.25
+
+
+# ---------------------------------------------------------------------------
+# the generated programs against the reference walk, failures included
+
+
+def _psi_texts(atoms):
+    """Expressions over the given atoms: functions, quotients, negative and root powers."""
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.builds("{}({})".format, st.sampled_from(["ln", "sqrt", "exp", "sin"]), inner),
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("({})^{}".format, inner, st.sampled_from(["-2", "-1", "2", "0.5"])),
+        ),
+        max_leaves=6,
+    )
+
+
+_PSI = st.one_of(
+    _psi_texts(["t", "q1", "(q1 - 1)", "(t - 0.5)", "2", "i"]),
+    _psi_texts(["t", "(t - 0.5)", "2", "i"]),  # t alone
+    _psi_texts(["q1", "(q1 - 1)", "2", "i"]),  # q alone
+)
+_POINT = st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1.0, -1.0, 0.5 + 0.5j, 2j]))
+
+
+def _reference_roots(prob, roots, t, q):
+    """Psi on the reference walk, its floor check, then the other roots in order."""
+    b = Bindings(t=t, q=(q,), v=(), params=prob.params)
+    psi = reference_evaluate(prob.psi, b)
+    smallest = np.min(np.abs(psi)) if isinstance(psi, np.ndarray) else math.hypot(psi.real, psi.imag)
+    if smallest <= 1e-12:
+        raise NumericalError(_COLLAPSE)
+    return psi, [reference_evaluate(e, b) for e in roots]
+
+
+def _reference_velocity(prob, t, q):
+    psi, grad = _reference_roots(prob, prob.psi_q, t, q)
+    return np.array([-2j * prob.gamma * dq / psi for dq in grad], dtype=np.complex128)
+
+
+def _reference_residual(prob, ts, qs):
+    psi, (*second, psi_t, potential) = _reference_roots(prob, (*prob.psi_qq, prob.psi_t, prob.potential), ts, qs)
+    lap = np.zeros(ts.shape, dtype=np.complex128)
+    for psi_qq in second:
+        lap = lap + psi_qq
+    res = 1j * prob.hbar * psi_t + (prob.hbar**2 / (2.0 * prob.m)) * lap - potential * psi
+    return np.asarray(res, dtype=np.complex128)
+
+
+def _assert_same_outcome(call, reference):
+    """call() gives the reference's bits, or raises the reference's error."""
+    try:
+        want = reference()
+    except NumericalError as exc:
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(exc))}$"):
+            call()
+        return
+    assert same_bits(call(), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    psi=_PSI,
+    potential=st.sampled_from(["0.5*q1^2", "1/q1", "ln(q1 + 1)"]),
+    point=_POINT,
+    points=st.lists(_POINT, min_size=1, max_size=3),
+)
+def test_programs_match_the_reference_walk_and_its_first_error(psi, potential, point, points):
+    try:
+        prob = SchrodingerProblem(psi, potential, 1.0, 1.0)
+    except ExpressionError:  # a folded constant that is not finite
+        assume(False)
+    t, q = point
+    ts = np.array([p[0] for p in points])
+    qs = np.array([p[1] for p in points], dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        _assert_same_outcome(lambda: prob.psi_values(t, [q]), lambda: _reference_roots(prob, (), t, q)[0])
+        _assert_same_outcome(lambda: prob.psi_values(ts, [qs]), lambda: _reference_roots(prob, (), ts, qs)[0])
+        _assert_same_outcome(lambda: velocity_field(prob, t, [q]), lambda: _reference_velocity(prob, t, q))
+        _assert_same_outcome(
+            lambda: schrodinger_residual(prob, ts, qs).residuals, lambda: _reference_residual(prob, ts, qs)
+        )
+
+
+def test_residual_of_a_psi_of_t_alone_with_a_potential_of_q():
+    # the potential's read of q1 comes before psi's statements in the program
+    prob = SchrodingerProblem("exp(-i*t)", "0.5*q1^2", 1.0, 1.0)
+    ts, qs = np.array([0.0, 0.5]), np.array([1.0, -0.5 + 0.25j])
+    got = schrodinger_residual(prob, ts, qs).residuals
+    assert same_bits(got, _reference_residual(prob, ts, qs))

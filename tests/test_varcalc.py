@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from scalevar import lagdsl, schrodinger
 from scalevar import (
+    Bindings,
     GridError,
     LagrangianSpec,
+    NoetherReport,
     NumericalError,
     Path,
     ScalarField,
@@ -22,6 +24,7 @@ from scalevar import (
     dubois_reymond_residual,
     energy_constant,
     euler_lagrange_residual,
+    evaluate,
     evaluate_functional,
     functional_integrand,
     integrate_trajectory,
@@ -30,9 +33,12 @@ from scalevar import (
     invariance_integrand_integral,
     make_grid,
     noether_constant,
+    quadratic_term,
     sample,
+    scale_derivative_path,
     schrodinger_residual,
     velocity_field,
+    weierstrass,
 )
 from conftest import (
     dyadic_complex,
@@ -288,6 +294,127 @@ def test_noether_soundness_bound():
         delta = max(delta_el, delta_inv)
         drift = noether_constant(Lg, p, sym, sp).drift
         assert drift < K * (delta + sp.epsilon)
+
+
+def test_noether_report_takes_a_mean_whose_modulus_overflows():
+    # both parts are finite, but Python's complex abs of the mean raises OverflowError
+    z = complex(1.5e308, 1.5e308)
+    report = NoetherReport.from_samples(np.array([0.0]), np.array([z]))
+    assert report.mean == z
+    assert report.drift == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the discrete Noether theorem as an exact identity of the four reports
+
+
+def _one_sided(f, m, eps):
+    """D+ f and D- f at the nodes m steps inside the samples f (first axis)."""
+    n = len(f)
+    return (f[2 * m :] - f[m : n - m]) / eps, (f[m : n - m] - f[: n - 2 * m]) / eps
+
+
+def _quadratic(f, g, m, sp):
+    """Q(f, g) = (eps/2) [(1 + i mu) D+f D+g - (1 - i mu) D-f D-g], the remainder of
+    the product rule box(fg) = f box g + g box f + Q(f, g)."""
+    (fp, fm), (gp, gm) = _one_sided(f, m, sp.epsilon), _one_sided(g, m, sp.epsilon)
+    return (sp.epsilon / 2.0) * (fp * gp * (1.0 + 1j * sp.mu) - fm * gm * (1.0 - 1j * sp.mu))
+
+
+def _assert_noether_identity(Lg, p, sym, sp):
+    """Node by node on [a + eps, b - eps], with C, I, el and dbr the four reports:
+    box C = I - xi . el + tau dbr + sum_k Q(dL/dv_k, xi_k) + Q(L - dL/dv . v, tau).
+    It follows from the product rule and the reports' definitions alone (no chain
+    rule), so it holds on rough paths too."""
+    m, eps, mu = p.grid.steps_of(sp.epsilon), sp.epsilon, sp.mu
+    c = noether_constant(Lg, p, sym, sp).constant_samples
+    _, integrand, _ = invariance_integrand(Lg, p, sym, sp)
+    el = euler_lagrange_residual(Lg, p, sp).residuals.reshape(-1, p.dim)
+    dbr = dubois_reymond_residual(Lg, p, sp).residuals
+    # the factors of C along the path on [a, b], q and v = box q from the path
+    core = p.grid.with_pad_steps(0)
+    ts = core.nodes()
+    q, v = (sample(x, core).values for x in (p, scale_derivative_path(p, sp)))
+    b = Bindings(t=ts, q=tuple(q.T), v=tuple(v.T))
+    at = lambda e: np.broadcast_to(np.asarray(evaluate(e, b), dtype=np.complex128), ts.shape)
+    lagrangian, tau = at(Lg.L), at(sym.tau)
+    momentum = np.stack([at(e) for e in Lg.grad_v], axis=1)
+    xi = np.stack([at(e) for e in sym.xi], axis=1)
+    energy = lagrangian - (momentum * v).sum(axis=1)
+    dplus, dminus = _one_sided(c, m, eps)
+    box_c = ((1.0 + 1j * mu) * dplus + (1.0 - 1j * mu) * dminus) / 2.0
+    w = slice(m, len(ts) - m)
+    rhs = integrand[w] - (xi[w] * el).sum(axis=1) + tau[w] * dbr + _quadratic(energy, tau, m, sp)
+    for k in range(p.dim):
+        rhs = rhs + _quadratic(momentum[:, k], xi[:, k], m, sp)
+    # rounding only: a difference quotient of a product carries ulps of its factors / eps
+    size = (np.abs(momentum) * (np.abs(xi) + np.abs(v) * np.abs(tau)[:, None])).sum(axis=1)
+    size = size + np.abs(lagrangian * tau)
+    assert np.max(np.abs(box_c - rhs)) <= 1e-13 * np.max(size) / eps
+    # Q is the composite rule's quadratic term of the path (dL/dv_1, xi_1)
+    pair = Path.from_samples(core, np.stack([momentum[:, 0], xi[:, 0]], axis=1))
+    q_pair = _quadratic(momentum[:, 0], xi[:, 0], m, sp)
+    (fp, fm), (gp, gm) = (_one_sided(x, m, eps) for x in (momentum[:, 0], xi[:, 0]))
+    for j in (0, len(q_pair) // 2, len(q_pair) - 1):
+        bound = 1e-13 * eps * (abs(fp[j] * gp[j]) + abs(fm[j] * gm[j]))
+        assert abs(quadratic_term(pair, sp, 1, 2, ts[j + m]) - q_pair[j]) <= bound
+
+
+_ROUGH = weierstrass(0.6, 3.0, 1e-6)
+_L_TERMS = (
+    lambda k: f"v{k}^2",
+    lambda k: f"q{k}^2",
+    lambda k: f"v{k}*q{k}",
+    lambda k: f"t*v{k}",
+    lambda k: f"sin(q{k})*v1",
+    lambda k: f"cos(t)*q{k}",
+    lambda k: f"exp(0.25*q{k})*v{k}^2",
+    lambda k: f"v{k}^3",
+)
+_TAUS = ("1", "t", "0.5*q1", "cos(t)", "1 + 0.25*t*q1")
+_XIS = (lambda k: "0", lambda k: "1", lambda k: f"0.5*q{k}", lambda k: "t", lambda k: f"sin(q{k})", lambda k: f"t*q{k}")
+
+
+def _test_path(n, steps, components):
+    """A path on [0, 1] with 2*eps of padding: per component, factor * (a Weierstrass
+    series, a=0.6, b=3) when rough, factor * (exp(i w t) + t^2/2) otherwise."""
+    grid = make_grid(0.0, 1.0, n, 2.0 * steps / n)
+    ts = grid.nodes()
+    columns = [
+        factor * (_ROUGH.at_many(ts)[:, 0] if rough else np.exp(1j * w * ts) + 0.5 * ts**2)
+        for rough, factor, w in components
+    ]
+    return Path.from_samples(grid, np.stack(columns, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    n=st.sampled_from([64, 128, 256]),
+    steps=st.integers(1, 3),
+    mu=st.sampled_from(["1", "-1", "0", "i", "-i"]),
+    data=st.data(),
+)
+def test_noether_theorem_is_an_exact_discrete_identity(dim, n, steps, mu, data):
+    factor = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    component = st.tuples(st.booleans(), factor, st.floats(0.5, 3.0))
+    p = _test_path(n, steps, data.draw(st.lists(component, min_size=dim, max_size=dim)))
+    term = st.tuples(st.sampled_from([0.5, -1.0, 0.25, 2.0, -0.75]), st.sampled_from(_L_TERMS), st.integers(1, dim))
+    terms = data.draw(st.lists(term, min_size=1, max_size=3))
+    Lg = LagrangianSpec.from_text(" + ".join(f"{c!r}*{t(k)}" for c, t, k in terms), dim)
+    xis = data.draw(st.lists(st.sampled_from(_XIS), min_size=dim, max_size=dim))
+    sym = SymmetrySpec.from_text(data.draw(st.sampled_from(_TAUS)), [x(k + 1) for k, x in enumerate(xis)], dim)
+    _assert_noether_identity(Lg, p, sym, ScaleParams(steps / n, mu))
+
+
+@pytest.mark.parametrize("mu", ["1", "-1", "0", "i", "-i"])
+@pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
+def test_noether_identity_with_moving_generators(mu, rough):
+    # tau and xi vary along the path, so every term of the identity is in play
+    p = _test_path(256, 2, [(rough, 0.8 - 0.3j, 1.7)])
+    Lg = LagrangianSpec.from_text("0.5*v1^2 - 0.5*q1^2 + t*v1*q1")
+    sym = SymmetrySpec.from_text("1 + 0.25*t*q1", "0.5*q1")
+    _assert_noether_identity(Lg, p, sym, ScaleParams(2.0 / 256, mu))
 
 
 def test_dbr_implied_on_extremals():
