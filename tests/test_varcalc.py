@@ -347,10 +347,13 @@ def _assert_noether_identity(Lg, p, sym, sp):
     rhs = integrand[w] - (xi[w] * el).sum(axis=1) + tau[w] * dbr + _quadratic(energy, tau, m, sp)
     for k in range(p.dim):
         rhs = rhs + _quadratic(momentum[:, k], xi[:, k], m, sp)
-    # rounding only: a difference quotient of a product carries ulps of its factors / eps
+    # rounding only: a difference quotient of a product carries ulps of its factors / eps,
+    # and dL/dq . xi + dL/dt tau, which el and dbr cancel from I, carry ulps of their own
     size = (np.abs(momentum) * (np.abs(xi) + np.abs(v) * np.abs(tau)[:, None])).sum(axis=1)
     size = size + np.abs(lagrangian * tau)
-    assert np.max(np.abs(box_c - rhs)) <= 1e-13 * np.max(size) / eps
+    grad_q = np.stack([at(e) for e in Lg.grad_q], axis=1)
+    cancelled = (np.abs(grad_q) * np.abs(xi)).sum(axis=1) + np.abs(at(Lg.dL_dt) * tau)
+    assert np.max(np.abs(box_c - rhs)) <= 1e-13 * (np.max(size) / eps + np.max(cancelled))
     # Q is the composite rule's quadratic term of the path (dL/dv_1, xi_1)
     pair = Path.from_samples(core, np.stack([momentum[:, 0], xi[:, 0]], axis=1))
     q_pair = _quadratic(momentum[:, 0], xi[:, 0], m, sp)
@@ -405,6 +408,13 @@ def test_noether_theorem_is_an_exact_discrete_identity(dim, n, steps, mu, data):
     xis = data.draw(st.lists(st.sampled_from(_XIS), min_size=dim, max_size=dim))
     sym = SymmetrySpec.from_text(data.draw(st.sampled_from(_TAUS)), [x(k + 1) for k, x in enumerate(xis)], dim)
     _assert_noether_identity(Lg, p, sym, ScaleParams(steps / n, mu))
+
+
+def test_noether_identity_with_a_tiny_path_and_a_unit_force():
+    # C ~ 1e-9 while dL/dq . xi ~ 1 cancels between I and xi . el
+    p = _test_path(64, 1, [(False, 1e-9j, 1.0)])
+    Lg = LagrangianSpec.from_text("0.5*cos(t)*q1", 1)
+    _assert_noether_identity(Lg, p, SymmetrySpec.from_text("1", ["1"], 1), ScaleParams(1 / 64, "1"))
 
 
 @pytest.mark.parametrize("mu", ["1", "-1", "0", "i", "-i"])
