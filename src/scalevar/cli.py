@@ -9,10 +9,11 @@ holder series of more than _MAX_SERIES_CELLS probe-term cosines, fails before
 any allocation), 3 numerical failure (NaN, divergence, degenerate
 data).  Each command returns a header, a float64 table and a summary; both
 texts are rendered and checked for finiteness before either file is written,
-so a failed run writes neither.  CSV numbers are repr() of the floats.  Both
-files are written in full into one temp directory beside the outputs, then
-renamed into place as a pair, and are byte-identical across runs of the same
-config.
+so a failed run writes neither.  CSV numbers are repr() of the float64
+values, formatted once per distinct value (by bits) of a column, with no
+setting.  Both files are written in full into one temp directory beside the
+outputs, then renamed into place as a pair, and are byte-identical across runs
+of the same config.  The output prefix must end in a file name.
 """
 
 from __future__ import annotations
@@ -295,16 +296,25 @@ def _write_pair(prefix: str, csv_text: str, summary_text: str) -> None:
 
 
 def _csv_text(header, table: np.ndarray) -> str:
-    """CSV text of a float64 table: each number is repr() of its float, rows end in LF."""
+    """CSV text of a float64 table: each number is repr() of its float, rows end in LF.
+
+    Each column's distinct values are formatted once and gathered back; values
+    are told apart by their bits, so -0.0 keeps its own repr beside 0.0.
+    """
     finite = np.isfinite(table)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise NumericalError(
             f'non-finite value in output column "{header[j]}" at {header[0]}={float(table[i, 0])!r}'
         )
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    cells = np.empty(table.shape, dtype=object)
+    for j, bits in enumerate(table.view(np.int64).T):
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = list(map(repr, distinct.view(np.float64).tolist()))
+        cells[:, j] = np.array(texts, dtype=object)[inverse]
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    # the header line is the first cell, so the text is assembled once and never copied
+    return ("%s\n" + row * table.shape[0]) % ((",".join(header),) + tuple(cells.ravel()))
 
 
 def _summary_text(summary: dict) -> str:
@@ -506,6 +516,10 @@ def run(config_path: str, overrides=()) -> int:
                 f'invalid field "command": expected one of {", ".join(COMMANDS)}, got {command!r}'
             )
         prefix = _field(cfg, "output", str, what="an output path prefix")
+        if os.path.basename(prefix) in ("", ".", ".."):  # names a directory, not a file
+            raise ValidationError(
+                f'invalid field "output": expected a path prefix ending in a file name, got {prefix!r}'
+            )
         header, table, summary = _DISPATCH[command](cfg)
         csv_text = _csv_text(header, table)
         summary_text = _summary_text({"command": command, **summary})

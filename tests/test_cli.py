@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_series_rows, reference_write_csv
@@ -139,6 +139,23 @@ def test_unknown_command_rejected(tmp_path, capsys):
     code, _, _ = _run(tmp_path, CONFIG_DIR / "noether_free_particle.json", 'command="solve"')
     assert code == 2
     assert "command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix", ["", "sub/", ".", "sub/.."])
+def test_an_output_prefix_without_a_file_name_exits_two_before_computing(
+    tmp_path, capsys, monkeypatch, prefix
+):
+    def computed(*args, **kwargs):
+        raise NumericalError("computed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_path_problem", computed)
+    code = run(str(CONFIG_DIR / "noether_free_particle.json"), [f"output={prefix}"])
+    assert code == 2
+    assert f'invalid field "output": expected a path prefix ending in a file name, got {prefix!r}' in (
+        capsys.readouterr().err
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -638,24 +655,38 @@ _FINITE = st.one_of(
 )
 
 
+# a pooled column draws its cells from 1-3 of these, so it repeats values
+_POOLED = st.one_of(st.sampled_from((0.0, -0.0)), _FINITE)
+
+
 @st.composite
 def _series(draw):
-    """(ts, arrays): complex or real arrays of shape (N,) or (N, d), several per row."""
-    n = draw(st.integers(0, 5))
-    floats = lambda k: draw(st.lists(_FINITE, min_size=k, max_size=k))
-    ts = np.array(floats(n), dtype=np.float64)
+    """(ts, arrays): complex or real arrays of shape (N,) or (N, d), several per row.
+
+    Each table column draws its cells independently or from a pool of 1-3 values.
+    """
+    n = draw(st.integers(0, 64))
+
+    def column():
+        if draw(st.booleans()):
+            pool = draw(st.lists(_POOLED, min_size=1, max_size=3))
+            return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        return draw(st.lists(_FINITE, min_size=n, max_size=n))
+
+    def block(width):
+        return np.array([column() for _ in range(width)], dtype=np.float64).T
+
+    ts = np.array(column(), dtype=np.float64)
     arrays = []
     for _ in range(draw(st.integers(1, 3))):
         width = draw(st.sampled_from([None, 1, 2, 3]))
-        shape = (n,) if width is None else (n, width)
-        size = math.prod(shape)
+        cols = width or 1
         if draw(st.booleans()):
-            arr = np.empty(shape, dtype=np.complex128)
-            arr.real = np.reshape(floats(size), shape)
-            arr.imag = np.reshape(floats(size), shape)
+            arr = np.empty((n, cols), dtype=np.complex128)
+            arr.real, arr.imag = block(cols), block(cols)
         else:
-            arr = np.reshape(np.array(floats(size), dtype=np.float64), shape)
-        arrays.append(arr)
+            arr = np.ascontiguousarray(block(cols))
+        arrays.append(arr.reshape(n) if width is None else arr)
     return ts, arrays
 
 
@@ -672,6 +703,8 @@ def _reference_bytes(directory, header, ts, arrays) -> bytes:
 
 @settings(max_examples=300, deadline=None)
 @given(_series())
+# signed zeros alternating in one column, one subnormal repeated in another
+@example((np.arange(6.0), [np.array([complex(0.0, 5e-324), complex(-0.0, 5e-324)] * 3)]))
 def test_table_writer_matches_the_per_cell_reference(tmp_path_factory, series):
     ts, arrays = series
     header = _header(arrays)
