@@ -142,7 +142,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
             value = raw
         parts = key.split(".")
         node = cfg
@@ -158,7 +158,7 @@ def _load_config(config_path: str, overrides) -> dict:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8 or JSON, too deep, or an int too long
         raise ValidationError(f"config is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
@@ -226,14 +226,19 @@ def _config_path(cfg, grid, params, dotted="problem.path") -> Path:
     return Path.from_samples(grid, np.stack(cols, axis=1), label=dotted)
 
 
+def _within_reach(grid, steps):
+    """grid with its padding cut to the steps a command reads beyond [a, b]; padding
+    beyond that reach is never evaluated, and a shorter pad is left as it is."""
+    return grid.with_pad_steps(min(grid.pad_steps, steps))
+
+
 def _path_problem(cfg, stencils=1):
     """The scale, params and sampled path that every path command starts from; the path
     reaches into the padding only as far as box_eps, applied `stencils` times, reads."""
     grid = _config_grid(cfg)
     sp = _config_scale(cfg, grid)
     params = _config_params(cfg)
-    reach = stencils * grid.steps_of(sp.epsilon)
-    return sp, params, _config_path(cfg, grid.with_pad_steps(min(grid.pad_steps, reach)), params)
+    return sp, params, _config_path(cfg, _within_reach(grid, stencils * grid.steps_of(sp.epsilon)), params)
 
 
 def _config_lagrangian(cfg, params, dim) -> LagrangianSpec:
@@ -428,11 +433,12 @@ def _cmd_schrodinger(cfg):
     mass = _positive(cfg, "problem.m")
     with _naming("problem.psi/problem.potential"):
         prob = SchrodingerProblem(psi, potential, hbar, mass, dim=dim, params=params)
-    traj = integrate_trajectory(prob, q0, grid)
+    # the energy report reads the trajectory only as far as box_eps q does
+    traj = integrate_trajectory(prob, q0, _within_reach(grid, grid.steps_of(sp.epsilon)))
     energy = energy_constant(prob, traj, sp)
     thm, var = energy.theorem, energy.variant
-    # core nodes of the energy window coincide with the grid core, so qs aligns
-    qs = traj.path.values[grid.core]
+    # core nodes of the energy window coincide with the trajectory's core, so qs aligns
+    qs = traj.path.values[traj.path.grid.core]
     residual = schrodinger_residual(prob, thm.node_times, qs)
     return _per_node(
         thm.node_times,
@@ -471,8 +477,8 @@ def _cmd_holder(cfg):
         top = math.pi * b_base ** (terms - 1)
         if not math.isfinite(max(abs(grid.a), abs(grid.b)) * top):
             raise ValidationError('invalid field "grid": the Weierstrass series overflows on it')
-    else:
-        p = _config_path(cfg, grid, params)
+    else:  # the probes read only [a, b]
+        p = _config_path(cfg, _within_reach(grid, 0), params)
     if not all(map(_finite, deltas)):
         raise ValidationError('invalid field "problem.deltas": expected numbers')
     deltas_f = [float(d) for d in deltas]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .funcspace import Path, TimeGrid, sample
+from .funcspace import Path, TimeGrid
 from .lagdsl import diff, free_variables, generate, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path
 from .varcalc import NoetherReport, ResidualReport
@@ -248,16 +248,14 @@ def energy_constant(prob: SchrodingerProblem, traj: Trajectory, sp: ScaleParams)
 
     theorem: -(m/2) (box_eps q)^2 - U(q) with box_eps q the scale derivative
     of the sampled trajectory; variant: 2m (gamma sum_k dPsi/dq_k / Psi)^2
-    + U(q).  Each form gets its own drift statistic.
+    + U(q).  Each form gets its own drift statistic.  The window is the core
+    of the path's own grid, and box q reads the path only eps beyond it.
     """
     p = traj.path
     v_path = scale_derivative_path(p, sp)
-    g1 = v_path.grid
-    core = g1.core
-    ts = g1.nodes()[core]
-    qv = sample(p, g1).values[core]
-    vv = v_path.values[core]
-    qs = tuple(qv.T)
+    ts = p.grid.nodes()[p.grid.core]
+    qs = tuple(p.values[p.grid.core].T)
+    vv = v_path.values[v_path.grid.core]
     potential = np.full(ts.shape, prob._potential(ts, *qs)[0], dtype=np.complex128)
     v_squared = (vv**2).sum(axis=1)
     theorem = -(0.5 * prob.m) * v_squared - potential

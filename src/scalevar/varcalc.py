@@ -306,15 +306,12 @@ def dubois_reymond_residual(Lg: LagrangianSpec, p: Path, sp: ScaleParams) -> Res
     return ResidualReport.from_samples(ts, res, p.grid.h)
 
 
-def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams, boxed: bool):
-    """Core-window samples of the path state and of tau and xi along the path,
-    with box tau and box xi when boxed."""
+def _generator_state(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams):
+    """Core-window samples of the path state, of tau and xi along the path, and
+    of box tau and box xi, which read tau and xi on the padded window."""
     st = _path_state(Lg, p, sp, sym=sym)
     r, m = st.path, st.m
-    ts, q = (r.grid.nodes(), r.values) if boxed else (st.ts, st.q)
-    tau, xi = (_eval_samples(sym._programs[k], sym.params, ts, q) for k in ("tau", "xi"))
-    if not boxed:
-        return st.ts, st.q, st.v, tau, xi, None, None
+    tau, xi = (_eval_samples(sym._programs[k], sym.params, r.grid.nodes(), r.values) for k in ("tau", "xi"))
     dtau = scale_derivative_path(Path.from_samples(r.grid, tau, label="tau"), sp).values[:, 0]
     dxi = scale_derivative_path(Path.from_samples(r.grid, xi, label="xi"), sp).values
     return st.ts, st.q, st.v, tau[m:-m], xi[m:-m], dtau, dxi
@@ -330,7 +327,7 @@ def invariance_derivative(
     box tau and box xi are scale derivatives of the generators composed with
     the path, consistent with the operator semantics used everywhere else.
     """
-    ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp, boxed=True)
+    ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp)
 
     def action(s: float) -> complex:
         den = 1.0 + s * dtau
@@ -350,7 +347,7 @@ def invariance_derivative(
 def invariance_integrand(Lg: LagrangianSpec, p: Path, sym: SymmetrySpec, sp: ScaleParams):
     """First-order invariance integrand sampled on the core window:
     dL/dt tau + dL/dq . xi + dL/dv . (box xi - v box tau) + L box tau."""
-    ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp, boxed=True)
+    ts, qv, vv, tau, xi, dtau, dxi = _generator_state(Lg, p, sym, sp)
     lvals = _eval_samples(Lg._programs["L"], Lg.params, ts, qv, vv)
     out = _eval_samples(Lg._programs["dL_dt"], Lg.params, ts, qv, vv) * tau + lvals * dtau
     for k in range(Lg.dim):
@@ -381,7 +378,8 @@ def noether_constant(
     Sampled on the core window; the drift statistic measures constancy.  The
     momentum term carries xi, the energy term carries tau.
     """
-    ts, qv, vv, tau, xi, _, _ = _generator_state(Lg, p, sym, sp, boxed=False)
-    momentum, energy = _momentum_energy(Lg, ts, qv, vv)
+    st = _path_state(Lg, p, sp, sym=sym)
+    tau, xi = (_eval_samples(sym._programs[k], sym.params, st.ts, st.q) for k in ("tau", "xi"))
+    momentum, energy = _momentum_energy(Lg, st.ts, st.q, st.v)
     samples = (momentum * xi).sum(axis=1) + energy * tau
-    return NoetherReport.from_samples(ts, samples)
+    return NoetherReport.from_samples(st.ts, samples)

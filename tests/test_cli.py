@@ -169,6 +169,35 @@ def test_malformed_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+_NOETHER_TEXT = (CONFIG_DIR / "noether_free_particle.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"\xff\xfe" + _NOETHER_TEXT,  # not UTF-8
+        b"[" * 200_000,  # json.dumps cannot write this deep
+        _NOETHER_TEXT.replace(b'"n": 1000', b'"n": 1' + b"0" * 5000),  # int beyond 4300 digits
+    ],
+    ids=["not-utf8", "deep", "long-int"],
+)
+def test_config_text_json_cannot_take_exits_two(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    assert run(str(config), []) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scalevar: config is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["[" * 5000, "1" + "0" * 5000], ids=["deep", "long-int"])
+def test_set_value_json_cannot_take_is_a_raw_string(tmp_path, capsys, value):
+    code, _, _ = _run(tmp_path, CONFIG_DIR / "noether_free_particle.json", f"grid.n={value}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f'scalevar: invalid field "grid.n": expected an integer in [2, 2000000], got {value!r}')
+    assert err.count("\n") == 1
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     code, _, _ = _run(
         tmp_path,
@@ -628,12 +657,21 @@ def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
         ("noether_free_particle", ("problem.path=1/(t+0.008)",), 0.001),
         ("check_el_oscillator", ("grid.pad=0.01", "problem.path=cos(t)+0.001/(t+0.008)"), 0.002),
         ("deriv_parabola", ("grid.pad=0.05", "problem.path=t^2+0.001/(t+0.02)"), 0.01),
+        # the trajectory is integrated only to eps beyond [a, b]; psi collapses right, then left
+        ("schrodinger_gaussian", ("grid.pad=0.1", "problem.psi=(t-1.05)*exp(-q1^2/2)"), 0.001),
+        ("schrodinger_gaussian", ("grid.pad=0.1", "problem.psi=(t+0.05)*exp(-q1^2/2)"), 0.001),
+        # the holder probes read only [a, b]
+        (
+            "holder_weierstrass",
+            ("grid.n=1024", "grid.pad=0.01", "problem.weierstrass=null", "problem.path=1/(t+0.001953125)"),
+            0,
+        ),
     ],
 )
 def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, config, overrides, reach):
     # each expression is singular on a padding node beyond eps (2*eps for the
-    # residuals) outside [a, b]; no output reads that node, so the run is the
-    # one on a grid padded to the reach
+    # residuals, none for holder) outside [a, b]; no output reads that node, so
+    # the run is the one on a grid padded to the reach
     path = CONFIG_DIR / f"{config}.json"
     code, csv_path, summary_path = _run(tmp_path / "wide", path, *overrides)
     assert code == 0
