@@ -87,10 +87,20 @@ def _naming(field: str):
         raise ValidationError(f'invalid field "{field}": {err}') from err
 
 
+def _shown(value) -> str:
+    """repr of a value echoed in a message, cut to about 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _invalid(field: str, expected, value) -> ValidationError:
+    return ValidationError(f'invalid field "{field}": expected {expected}, got {_shown(value)}')
+
+
 def _field(cfg, dotted, types, default=_MISSING, what=""):
     value = _walk(cfg, dotted, default)
     if not isinstance(value, types):
-        raise ValidationError(f'invalid field "{dotted}": expected {what or types}, got {value!r}')
+        raise _invalid(dotted, what or types, value)
     return value
 
 
@@ -103,7 +113,7 @@ def _finite(value) -> bool:
 def _real(cfg, dotted, default=_MISSING):
     value = _walk(cfg, dotted, default)
     if not _finite(value):
-        raise ValidationError(f'invalid field "{dotted}": expected a finite number, got {value!r}')
+        raise _invalid(dotted, "a finite number", value)
     return float(value)
 
 
@@ -111,7 +121,7 @@ def _positive(cfg, dotted) -> float:
     """A finite number in (0, inf)."""
     value = _real(cfg, dotted)
     if not value > 0:
-        raise ValidationError(f'invalid field "{dotted}": expected a positive number, got {value!r}')
+        raise _invalid(dotted, "a positive number", value)
     return value
 
 
@@ -119,9 +129,7 @@ def _count(cfg, dotted) -> int:
     """An integer in [2, _MAX_NODES]; bools are not integers."""
     value = _walk(cfg, dotted)
     if isinstance(value, bool) or not isinstance(value, int) or not 2 <= value <= _MAX_NODES:
-        raise ValidationError(
-            f'invalid field "{dotted}": expected an integer in [2, {_MAX_NODES}], got {value!r}'
-        )
+        raise _invalid(dotted, f"an integer in [2, {_MAX_NODES}]", value)
     return value
 
 
@@ -129,19 +137,24 @@ def _complex(field: str, value) -> complex:
     """A finite number, or an [re, im] pair of them, as a complex."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     if not all(map(_finite, parts)):
-        raise ValidationError(
-            f'invalid field "{field}": expected a number or [re, im] pair, got {value!r}'
-        )
+        raise _invalid(field, "a number or [re, im] pair", value)
     return complex(*parts)
+
+
+def _json_int(digits: str) -> int:
+    """A JSON integer; one too long for int() is refused without Python's advice on the limit."""
+    if 0 < sys.get_int_max_str_digits() < len(digits.lstrip("-")):
+        raise ValueError(f"an integer of {len(digits)} characters exceeds the {sys.get_int_max_str_digits()}-digit limit")
+    return int(digits)
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
     for item in overrides:
         if "=" not in item:
-            raise ValidationError(f"--set needs KEY=VALUE, got {item!r}")
+            raise ValidationError(f"--set needs KEY=VALUE, got {_shown(item)}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_int=_json_int)
         except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
             value = raw
         parts = key.split(".")
@@ -149,7 +162,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ValidationError(f'--set cannot descend into non-object field "{key}"')
+                raise ValidationError(f"--set cannot descend into non-object field {_shown(key)}")
         node[parts[-1]] = value
     return cfg
 
@@ -157,7 +170,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
 def _load_config(config_path: str, overrides) -> dict:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_int=_json_int)
     except (ValueError, RecursionError) as err:  # not UTF-8 or JSON, too deep, or an int too long
         raise ValidationError(f"config is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
@@ -187,9 +200,7 @@ def _config_scale(cfg, grid=None, default_mu=None):
             raise ValidationError('missing field "scale.mu"')
         mu_raw = default_mu
     if not isinstance(mu_raw, str):
-        raise ValidationError(
-            f'invalid field "scale.mu": expected one of the strings "1", "-1", "0", "i", "-i", got {mu_raw!r}'
-        )
+        raise _invalid("scale.mu", 'one of the strings "1", "-1", "0", "i", "-i"', mu_raw)
     with _naming("scale.mu"):
         mu = parse_mu(mu_raw)
     with _naming("scale.epsilon"):
@@ -201,6 +212,9 @@ def _config_scale(cfg, grid=None, default_mu=None):
 
 def _config_params(cfg) -> dict:
     raw = _field(cfg, "problem.params", dict, default={}, what="an object")
+    for name in raw:  # in config order, by the rule parse applies to every name
+        with _naming(f"problem.params.{name}"):
+            parse("0", param_names=(name,))
     return {name: _complex(f"problem.params.{name}", value) for name, value in raw.items()}
 
 
@@ -213,8 +227,9 @@ def _expr_list(cfg, dotted):
     raise ValidationError(f'invalid field "{dotted}": expected an expression or list of expressions')
 
 
-def _config_path(cfg, grid, params, dotted="problem.path") -> Path:
-    """Sample the configured time-expression path onto the padded grid."""
+def _config_path(cfg, grid, params) -> Path:
+    """Sample the configured time-expression path, problem.path, onto the padded grid."""
+    dotted = "problem.path"
     texts = _expr_list(cfg, dotted)
     exprs = []
     for k, text in enumerate(texts):
@@ -252,13 +267,11 @@ def _config_symmetry(cfg, params, dim, stepped=False) -> SymmetrySpec:
     tau = _field(cfg, "problem.tau", str, what="an expression string")
     xi = _expr_list(cfg, "problem.xi")
     if len(xi) != dim:
-        raise ValidationError(f'invalid field "problem.xi": expected {dim} components, got {len(xi)}')
+        raise _invalid("problem.xi", f"{dim} components", len(xi))
     s_step = _real(cfg, "problem.s_step", default=1e-4) if stepped else 1e-4
     low, high = SymmetrySpec.S_STEP_RANGE
     if not low <= s_step <= high:
-        raise ValidationError(
-            f'invalid field "problem.s_step": expected a number in [{low}, {high}], got {s_step!r}'
-        )
+        raise _invalid("problem.s_step", f"a number in [{low}, {high}]", s_step)
     with _naming("problem.tau/problem.xi"):
         return SymmetrySpec.from_text(tau, xi, dim=dim, params=params, s_step=s_step)
 
@@ -518,14 +531,10 @@ def run(config_path: str, overrides=()) -> int:
         cfg = _load_config(config_path, overrides)
         command = _walk(cfg, "command")
         if command not in COMMANDS:
-            raise ValidationError(
-                f'invalid field "command": expected one of {", ".join(COMMANDS)}, got {command!r}'
-            )
+            raise _invalid("command", f"one of {', '.join(COMMANDS)}", command)
         prefix = _field(cfg, "output", str, what="an output path prefix")
         if os.path.basename(prefix) in ("", ".", ".."):  # names a directory, not a file
-            raise ValidationError(
-                f'invalid field "output": expected a path prefix ending in a file name, got {prefix!r}'
-            )
+            raise _invalid("output", "a path prefix ending in a file name", prefix)
         header, table, summary = _DISPATCH[command](cfg)
         csv_text = _csv_text(header, table)
         summary_text = _summary_text({"command": command, **summary})

@@ -425,11 +425,10 @@ def parse(text: str, dim: int = 1, param_names=()) -> Expr:
     """Parse an expression over t, q1..qd, v1..vd and the named parameters."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    params = set(param_names)
-    for name in params:
+    for name in param_names:  # in the order given, so the first bad name is reported
         if name in ("t", "i") or name in FUNCTIONS or _VAR_RE.match(name):
             raise ValidationError(f"parameter name {name!r} shadows a reserved identifier")
-    parser = _Parser(_tokenize(text), int(dim), params)
+    parser = _Parser(_tokenize(text), int(dim), set(param_names))
     node = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":

@@ -8,7 +8,7 @@ benchmark operations produce, held in a committed manifest.
 The outputs are:
 - the bundled configs at their own grid.n, at 10x grid.n and at 3x grid.pad
   (padding beyond a report's reach is never read, so the last equals the first);
-- the 2-D `schrodinger` run of CI at 1x and 10x grid.n;
+- the 2-D `schrodinger` run (two components and a parameter) at 1x and 10x grid.n;
 - every trajectory, batch_csv and roughness operation of bench seeds 1-3;
 - the library result digest of the same seeds.
 
@@ -34,7 +34,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "output_manifest.json"
 SEEDS = (1, 2, 3)
 CLI_WORKLOADS = ("trajectory", "batch_csv", "roughness")
-# the 2-D schrodinger run of CI: two components and a parameter
+# the 2-D schrodinger run: two components and a parameter
 TWO_D = (
     "problem.psi=exp(-(q1^2 + 2*q2^2)/2)*exp(-i*k*t)",
     'problem.params={"k": 1.5}',
@@ -66,7 +66,7 @@ def _output_digest(rc: int, prefix: str) -> str:
     return h.hexdigest()
 
 
-def _bundled_runs():
+def bundled_runs():
     """(name, config path, overrides) of every bundled-config run."""
     for config in sorted((ROOT / "configs").glob("*.json")):
         grid = json.loads(config.read_text(encoding="utf-8"))["grid"]
@@ -78,15 +78,21 @@ def _bundled_runs():
     yield "schrodinger_gaussian.2d.10x", gaussian, (*TWO_D, "grid.n=10000")
 
 
-def digests(sv) -> dict:
-    """name -> digest of every corpus output, computed with the scalevar package sv."""
+def bench_workloads():
+    """The benchmark's workloads module, from this tree's bench/."""
     if str(ROOT / "bench") not in sys.path:
         sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
+    return workloads
+
+
+def digests(sv) -> dict:
+    """name -> digest of every corpus output, computed with the scalevar package sv."""
+    workloads = bench_workloads()
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config, overrides in _bundled_runs():
+        for name, config, overrides in bundled_runs():
             prefix = str(pathlib.Path(tmp) / name)
             out[name] = _output_digest(sv.cli.run(str(config), (*overrides, f"output={prefix}")), prefix)
         for workload in CLI_WORKLOADS:

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalevar
 from conftest import reference_series_rows, reference_write_csv
+from output_corpus import bundled_runs
 from scalevar import NumericalError, cli
 from scalevar.cli import _csv_text, _table, run
 from scalevar.lagdsl import MAX_DEPTH
@@ -41,16 +45,25 @@ def test_bundled_configs_exist():
     }
 
 
-@pytest.mark.parametrize("config", BUNDLED, ids=lambda c: c.stem)
-def test_bundled_configs_run_deterministically(tmp_path, config):
-    code, csv_path, summary_path = _run(tmp_path / "one", config)
-    assert code == 0
-    first_csv = csv_path.read_bytes()
-    first_summary = summary_path.read_bytes()
-    code2, csv2, summary2 = _run(tmp_path / "two", config)
+@pytest.mark.parametrize(
+    "config, overrides",
+    # each bundled config and the 2-D schrodinger run, at their own grid.n and at 10x
+    [pytest.param(c, o, id=name) for name, c, o in bundled_runs() if not name.endswith(".3pad")],
+)
+def test_bundled_configs_run_deterministically(tmp_path, capsys, config, overrides):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, csv_path, summary_path = _run(tmp_path / "one", config, *overrides)
+        assert code == 0
+        first_csv = csv_path.read_bytes()
+        first_summary = summary_path.read_bytes()
+        code2, csv2, summary2 = _run(tmp_path / "two", config, *overrides)
     assert code2 == 0
     assert csv2.read_bytes() == first_csv
     assert summary2.read_bytes() == first_summary
+    # silent: nothing on stderr, and no numpy warning
+    assert capsys.readouterr().err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # no temp leftovers from the atomic writes
     assert not list(csv_path.parent.glob("*.tmp"))
 
@@ -187,6 +200,8 @@ def test_config_text_json_cannot_take_exits_two(tmp_path, capsys, text):
     assert run(str(config), []) == 2
     err = capsys.readouterr().err
     assert err.startswith("scalevar: config is not valid JSON: ") and err.count("\n") == 1
+    # no advice on interpreter settings that a config's author cannot change
+    assert len(err) <= 200 and "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("value", ["[" * 5000, "1" + "0" * 5000], ids=["deep", "long-int"])
@@ -194,8 +209,12 @@ def test_set_value_json_cannot_take_is_a_raw_string(tmp_path, capsys, value):
     code, _, _ = _run(tmp_path, CONFIG_DIR / "noether_free_particle.json", f"grid.n={value}")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f'scalevar: invalid field "grid.n": expected an integer in [2, 2000000], got {value!r}')
-    assert err.count("\n") == 1
+    # the value is echoed as the first 80 characters of its repr
+    assert err == (
+        'scalevar: invalid field "grid.n": expected an integer in [2, 2000000], '
+        f"got '{value[:76]}...\n"
+    )
+    assert err.count("\n") == 1 and len(err) <= 200
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
@@ -282,15 +301,86 @@ def test_oversize_weierstrass_series_exits_two_before_allocating(tmp_path, capsy
         ("invariance_time_translation", "problem.s_step=1e-300", "problem.s_step"),
         # floats near 1e15 are 0.125 apart, so 100 steps of 0.01 would share nodes
         ("deriv_parabola", 'grid={"a": 1e15, "b": 1000000000000001.0, "n": 100, "pad": 0.02}', "grid"),
+        ("invariance_time_translation", 'problem.xi=["0","0"]', "problem.xi"),
+        # parameter names that shadow a reserved identifier, holder included
+        ("noether_free_particle", 'problem.params={"t": 1}', "problem.params.t"),
+        ("schrodinger_gaussian", 'problem.params={"q1": 1}', "problem.params.q1"),
+        ("holder_weierstrass", 'problem.params={"sin": 1}', "problem.params.sin"),
+    ]
+    # every config: a node count past the limit, and a grid its floats do not resolve
+    + [
+        pytest.param(c.stem, overrides, field, id="-".join((c.stem, *overrides, field)))
+        for c in BUNDLED
+        for overrides, field in [
+            (("grid.n=1000000000000",), "grid.n"),
+            (("grid.a=1e15", "grid.b=1000000000000001.0"), "grid"),
+        ]
+        if (c.stem, field) != ("deriv_parabola", "grid.n")  # a row above
     ],
 )
 def test_config_value_errors_name_their_field(tmp_path, capsys, config, override, field):
-    code, csv_path, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", override)
+    overrides = override if isinstance(override, tuple) else (override,)
+    code, csv_path, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", *overrides)
     assert code == 2
     err = capsys.readouterr().err
     assert f'invalid field "{field}": ' in err
     assert "Traceback" not in err
     assert not csv_path.exists()
+
+
+def _scalevar(cwd, *args, hash_seed=0):
+    """Start `python -m scalevar ARGS` in a new process, on the scalevar package under test."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(scalevar.__file__).parent.parent),
+           "PYTHONHASHSEED": str(hash_seed)}
+    return subprocess.Popen([sys.executable, "-m", "scalevar", *args], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _exit_and_stderr(proc):
+    _, err = proc.communicate()
+    return proc.returncode, err
+
+
+def test_the_first_shadowing_parameter_is_named_under_every_hash_seed(tmp_path):
+    config = str(CONFIG_DIR / "noether_free_particle.json")
+    params = 'problem.params={"t": 1, "q1": 2, "sin": 3}'
+    procs = [_scalevar(tmp_path, "run", config, "--set", params, hash_seed=seed) for seed in range(6)]
+    assert set(map(_exit_and_stderr, procs)) == {(2, (
+        'scalevar: invalid field "problem.params.t": parameter name \'t\' shadows a reserved identifier\n'
+    ))}
+
+
+def test_the_module_entry_point_runs_the_cli(tmp_path):
+    config = CONFIG_DIR / "invariance_time_translation.json"
+    procs = [_scalevar(tmp_path, "run", str(config), "--set", f"output=out/{seed}", hash_seed=seed)
+             for seed in (0, 1)]
+    invalid = _scalevar(tmp_path, "run", str(config), "--set", "grid.n=true")
+    code, csv_path, summary_path = _run(tmp_path / "in-process", config)
+    assert code == 0
+    expected = csv_path.read_bytes(), summary_path.read_bytes()
+    for seed, proc in enumerate(procs):
+        assert _exit_and_stderr(proc) == (0, "")
+        out = tmp_path / "out"
+        assert ((out / f"{seed}.csv").read_bytes(), (out / f"{seed}.summary.json").read_bytes()) == expected
+    code, err = _exit_and_stderr(invalid)
+    assert code == 2
+    assert err.startswith('scalevar: invalid field "grid.n": ') and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_schrodinger_defaults_to_the_forward_operator(tmp_path):
+    bundled = CONFIG_DIR / "schrodinger_gaussian.json"
+    cfg = json.loads(bundled.read_text())
+    del cfg["scale"]["mu"]
+    config = tmp_path / "schrodinger_gaussian.json"
+    config.write_text(json.dumps(cfg))
+    outputs = {}
+    for name, path, overrides in [("default", config, ()), ("forward", bundled, ('scale.mu="-i"',)),
+                                  ("symmetric", bundled, ())]:
+        code, csv_path, summary_path = _run(tmp_path / name, path, *overrides)
+        assert code == 0
+        outputs[name] = csv_path.read_bytes(), summary_path.read_bytes()
+    assert outputs["default"] == outputs["forward"] != outputs["symmetric"]
 
 
 def test_noether_does_not_read_the_group_parameter_step(tmp_path):
@@ -499,6 +589,20 @@ def test_integer_power_overflow_at_run_time_exits_three(tmp_path, capsys):
     assert "numerical failure: overflow in power ^400" in capsys.readouterr().err
 
 
+def test_psi_collapse_at_its_root_exits_three(tmp_path, capsys):
+    # at q0 = 0 psi is 0 and its gradient divides by zero; the collapse is reported
+    code, csv_path, _ = _run(
+        tmp_path,
+        CONFIG_DIR / "schrodinger_gaussian.json",
+        "problem.psi=sqrt(q1)*exp(-i*t)",
+        "problem.q0=[0.0]",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scalevar: numerical failure: ") and err.count("\n") == 1
+    assert "wavefunction magnitude" in err and not csv_path.exists()
+
+
 def test_underflowed_negative_power_in_a_constant_exits_two(tmp_path, capsys):
     # 1e-200^2 underflows to zero, so the folded 1e-200^-2 overflows
     config = CONFIG_DIR / "functional_free_particle.json"
@@ -666,6 +770,13 @@ def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
             ("grid.n=1024", "grid.pad=0.01", "problem.weierstrass=null", "problem.path=1/(t+0.001953125)"),
             0,
         ),
+        # nor does the Weierstrass series
+        pytest.param("holder_weierstrass", ("grid.pad=0.01",), 0, id="holder_weierstrass-series-0"),
+    ]
+    # each bundled config at 3x its grid.pad, whose own pad covers the reach
+    + [
+        pytest.param(c.stem, o, json.loads(c.read_text())["grid"]["pad"], id=name)
+        for name, c, o in bundled_runs() if name.endswith(".3pad")
     ],
 )
 def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, config, overrides, reach):
@@ -678,6 +789,7 @@ def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, config, o
     assert capsys.readouterr().err == ""
     code, csv_reach, summary_reach = _run(tmp_path / "reach", path, *overrides, f"grid.pad={reach}")
     assert code == 0
+    assert capsys.readouterr().err == ""
     assert csv_path.read_bytes() == csv_reach.read_bytes()
     assert summary_path.read_bytes() == summary_reach.read_bytes()
 

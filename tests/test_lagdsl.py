@@ -162,6 +162,11 @@ def test_parse_rejects_shadowing_parameter_names():
         parse("q1", 1, ("sin",))
     with pytest.raises(ValidationError):
         parse("q1", 1, ("v2",))
+    # the first reserved name in the order given, whatever the hash seed
+    with pytest.raises(ValidationError, match="^parameter name 't' shadows"):
+        parse("q1", 1, ("t", "q1", "sin"))
+    with pytest.raises(ValidationError, match="^parameter name 'sin' shadows"):
+        parse("q1", 1, ("w", "sin", "q1", "t"))
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,11 @@ def test_symmetry_spec_rejects_velocities():
         SymmetrySpec.from_text("1", "v1")
 
 
+def test_symmetry_spec_needs_one_xi_per_dimension():
+    with pytest.raises(ValidationError, match="^xi needs 1 components, got 2$"):
+        SymmetrySpec.from_text("1", ["0", "0"], dim=1)
+
+
 def test_symmetry_spec_s_step_range():
     for s_step in (0.5, 0.0, 1e-14, 1e-300):
         with pytest.raises(ValidationError, match="s_step"):
