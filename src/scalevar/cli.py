@@ -29,7 +29,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import GridError, NumericalError, ScaleVarError, ValidationError
+from .errors import GridError, NumericalError, ScaleVarError, ValidationError, clipped, shown
 from .funcspace import Path, estimate_holder, make_grid, weierstrass
 from .lagdsl import Bindings, evaluate, parse
 from .scaleops import ScaleParams, parse_mu, scale_derivative_path, trapezoid
@@ -84,17 +84,11 @@ def _naming(field: str):
     try:
         yield
     except ValidationError as err:
-        raise ValidationError(f'invalid field "{field}": {err}') from err
-
-
-def _shown(value) -> str:
-    """repr of a value echoed in a message, cut to about 80 characters."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
+        raise ValidationError(f'invalid field "{clipped(field)}": {err}') from err
 
 
 def _invalid(field: str, expected, value) -> ValidationError:
-    return ValidationError(f'invalid field "{field}": expected {expected}, got {_shown(value)}')
+    return ValidationError(f'invalid field "{clipped(field)}": expected {expected}, got {shown(value)}')
 
 
 def _field(cfg, dotted, types, default=_MISSING, what=""):
@@ -151,7 +145,7 @@ def _json_int(digits: str) -> int:
 def _apply_overrides(cfg: dict, overrides) -> dict:
     for item in overrides:
         if "=" not in item:
-            raise ValidationError(f"--set needs KEY=VALUE, got {_shown(item)}")
+            raise ValidationError(f"--set needs KEY=VALUE, got {shown(item)}")
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw, parse_int=_json_int)
@@ -162,7 +156,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ValidationError(f"--set cannot descend into non-object field {_shown(key)}")
+                raise ValidationError(f"--set cannot descend into non-object field {shown(key)}")
         node[parts[-1]] = value
     return cfg
 
@@ -179,20 +173,26 @@ def _load_config(config_path: str, overrides) -> dict:
 
 
 def _config_grid(cfg):
+    """The unpadded grid on [a, b]."""
     a = _real(cfg, "grid.a")
     b = _real(cfg, "grid.b")
     n = _count(cfg, "grid.n")
-    pad = _real(cfg, "grid.pad")
     with _naming("grid"):
-        grid = make_grid(a, b, n, pad)
-        if grid.num_nodes > _MAX_NODES:
-            raise ValidationError(
-                f"{grid.num_nodes} padded nodes exceed the limit of {_MAX_NODES}"
-            )
-    return grid
+        return make_grid(a, b, n)
 
 
-def _config_scale(cfg, grid=None, default_mu=None):
+def _padded(grid, steps):
+    """grid padded by the steps a command reads beyond [a, b], its reach, and no further."""
+    with _naming("grid"):
+        if grid.n + 1 + 2 * steps > _MAX_NODES:
+            raise ValidationError(f"{grid.n + 1} nodes and {steps:.7g} steps a side exceed the limit of {_MAX_NODES}")
+        return grid.with_pad_steps(steps)
+
+
+def _config_scale_grid(cfg, stencils=1, default_mu=None):
+    """The scale, and the grid padded by the reach of box_eps applied `stencils` times:
+    eps beyond [a, b], or 2*eps for the residuals, which apply it twice."""
+    grid = _config_grid(cfg)
     epsilon = _real(cfg, "scale.epsilon")
     mu_raw = _walk(cfg, "scale.mu", default=None)
     if mu_raw is None:
@@ -205,9 +205,8 @@ def _config_scale(cfg, grid=None, default_mu=None):
         mu = parse_mu(mu_raw)
     with _naming("scale.epsilon"):
         sp = ScaleParams(epsilon, mu)
-        if grid is not None:
-            grid.steps_of(epsilon)
-    return sp
+        steps = grid.steps_of(epsilon)
+    return sp, _padded(grid, stencils * steps)
 
 
 def _config_params(cfg) -> dict:
@@ -241,19 +240,11 @@ def _config_path(cfg, grid, params) -> Path:
     return Path.from_samples(grid, np.stack(cols, axis=1), label=dotted)
 
 
-def _within_reach(grid, steps):
-    """grid with its padding cut to the steps a command reads beyond [a, b]; padding
-    beyond that reach is never evaluated, and a shorter pad is left as it is."""
-    return grid.with_pad_steps(min(grid.pad_steps, steps))
-
-
 def _path_problem(cfg, stencils=1):
-    """The scale, params and sampled path that every path command starts from; the path
-    reaches into the padding only as far as box_eps, applied `stencils` times, reads."""
-    grid = _config_grid(cfg)
-    sp = _config_scale(cfg, grid)
+    """The scale, params and path of every path command, sampled as far as its stencils reach."""
+    sp, grid = _config_scale_grid(cfg, stencils)
     params = _config_params(cfg)
-    return sp, params, _config_path(cfg, _within_reach(grid, stencils * grid.steps_of(sp.epsilon)), params)
+    return sp, params, _config_path(cfg, grid, params)
 
 
 def _config_lagrangian(cfg, params, dim) -> LagrangianSpec:
@@ -431,9 +422,9 @@ def _cmd_noether(cfg):
 
 
 def _cmd_schrodinger(cfg):
-    grid = _config_grid(cfg)
-    # forward operator by default: consistent with the integrator's dq/dt
-    sp = _config_scale(cfg, grid, default_mu="-i")
+    # forward operator by default: consistent with the integrator's dq/dt; the trajectory
+    # is integrated as far beyond [a, b] as the energy report's box_eps q reads
+    sp, grid = _config_scale_grid(cfg, default_mu="-i")
     params = _config_params(cfg)
     q0_raw = _field(cfg, "problem.q0", list, what="a list of initial components")
     q0 = [_complex(f"problem.q0[{k}]", item) for k, item in enumerate(q0_raw)]
@@ -446,8 +437,7 @@ def _cmd_schrodinger(cfg):
     mass = _positive(cfg, "problem.m")
     with _naming("problem.psi/problem.potential"):
         prob = SchrodingerProblem(psi, potential, hbar, mass, dim=dim, params=params)
-    # the energy report reads the trajectory only as far as box_eps q does
-    traj = integrate_trajectory(prob, q0, _within_reach(grid, grid.steps_of(sp.epsilon)))
+    traj = integrate_trajectory(prob, q0, grid)
     energy = energy_constant(prob, traj, sp)
     thm, var = energy.theorem, energy.variant
     # core nodes of the energy window coincide with the trajectory's core, so qs aligns
@@ -469,8 +459,7 @@ def _cmd_schrodinger(cfg):
 
 
 def _cmd_holder(cfg):
-    grid = _config_grid(cfg)
-    _config_scale(cfg, None)  # schema completeness; the estimator itself is scale-free
+    grid = _config_grid(cfg)  # the estimator is scale-free: no scale section
     params = _config_params(cfg)
     deltas = _field(cfg, "problem.deltas", list, what="a list of decreasing deltas")
     sample_count = _count(cfg, "problem.sample_count")
@@ -491,7 +480,7 @@ def _cmd_holder(cfg):
         if not math.isfinite(max(abs(grid.a), abs(grid.b)) * top):
             raise ValidationError('invalid field "grid": the Weierstrass series overflows on it')
     else:  # the probes read only [a, b]
-        p = _config_path(cfg, _within_reach(grid, 0), params)
+        p = _config_path(cfg, _padded(grid, 0), params)
     if not all(map(_finite, deltas)):
         raise ValidationError('invalid field "problem.deltas": expected numbers')
     deltas_f = [float(d) for d in deltas]

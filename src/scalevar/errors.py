@@ -1,4 +1,4 @@
-"""Exception hierarchy for the scalevar toolkit."""
+"""Exception hierarchy for the scalevar toolkit, and how messages echo user text."""
 
 
 class ScaleVarError(Exception):
@@ -29,3 +29,13 @@ class ExpressionError(ValidationError):
 
 class NumericalError(ScaleVarError):
     """Numerical breakdown at run time: NaN, divergence, degenerate data."""
+
+
+def clipped(text: str) -> str:
+    """text echoed in a message, cut to at most 80 characters."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def shown(value) -> str:
+    """repr of a value echoed in a message, cut to at most 80 characters."""
+    return clipped(repr(value))

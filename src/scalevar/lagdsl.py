@@ -69,7 +69,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ExpressionError, NumericalError, ValidationError
+from .errors import ExpressionError, NumericalError, ValidationError, clipped, shown
 
 __all__ = [
     "Const",
@@ -350,7 +350,7 @@ class _Parser:
         tok = self.peek()
         if tok.text == op:
             return self.take()
-        raise ExpressionError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.column)
+        raise ExpressionError(f"expected {op!r}, found {shown(tok.text or 'end of input')}", tok.column)
 
     def expr(self, level: int = 0) -> Expr:
         """Operands joined by the operators of _BINARY[level] and tighter ones."""
@@ -398,7 +398,7 @@ class _Parser:
         if tok.kind == "ident":  # a function name, then its parenthesised argument
             self.expect_op("(")
         elif tok.text != "(":
-            raise ExpressionError(f"unexpected token {tok.text or 'end of input'!r}", tok.column)
+            raise ExpressionError(f"unexpected token {shown(tok.text or 'end of input')}", tok.column)
         node = self.expr()
         self.expect_op(")")
         return node if tok.text == "(" else _build(tok.column, func, tok.text, node)
@@ -413,12 +413,12 @@ class _Parser:
             idx = int(m.group(2))
             if not 1 <= idx <= self.dim:
                 raise ExpressionError(
-                    f"index out of range: {name} exceeds declared dimension {self.dim}", column
+                    f"index out of range: {clipped(name)} exceeds declared dimension {self.dim}", column
                 )
             return Var(m.group(1), idx, f"{m.group(1)}{idx}")
         if name in self.params:
             return Var("param", 0, name)
-        raise ExpressionError(f"unknown identifier {name!r}", column)
+        raise ExpressionError(f"unknown identifier {shown(name)}", column)
 
 
 def parse(text: str, dim: int = 1, param_names=()) -> Expr:
@@ -427,12 +427,12 @@ def parse(text: str, dim: int = 1, param_names=()) -> Expr:
         raise ExpressionError("empty expression")
     for name in param_names:  # in the order given, so the first bad name is reported
         if name in ("t", "i") or name in FUNCTIONS or _VAR_RE.match(name):
-            raise ValidationError(f"parameter name {name!r} shadows a reserved identifier")
+            raise ValidationError(f"parameter name {shown(name)} shadows a reserved identifier")
     parser = _Parser(_tokenize(text), int(dim), set(param_names))
     node = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
-        raise ExpressionError(f"unexpected token {trailing.text!r}", trailing.column)
+        raise ExpressionError(f"unexpected token {shown(trailing.text)}", trailing.column)
     if _depth(node) > MAX_DEPTH:
         raise ExpressionError(f"expression tree is deeper than {MAX_DEPTH} levels")
     return node
@@ -508,7 +508,7 @@ FUNCTIONS = tuple(_FUNCTIONS)
 def _function(fn: str):
     """The table row of a function name."""
     if fn not in _FUNCTIONS:
-        raise ValidationError(f"unknown function {fn!r}")
+        raise ValidationError(f"unknown function {shown(fn)}")
     return _FUNCTIONS[fn]
 
 
@@ -522,7 +522,7 @@ def _unbound(b: Bindings, variables) -> None:
     """Raise for the first of the variables (Var nodes) that b does not supply."""
     for e in variables:
         if e.kind == "param" and e.name not in b.params:
-            raise ValidationError(f"unbound parameter {e.name!r}") from None
+            raise ValidationError(f"unbound parameter {shown(e.name)}") from None
         seq = b.q if e.kind == "q" else b.v
         if len(seq) < e.index:  # t and parameters have index 0
             raise ValidationError(
@@ -544,14 +544,14 @@ def generate(roots, read, write) -> dict:
 
     read(v) gives the source of the value of the variable v (a Var) as the
     generated function receives it: _coerce(b.t) from Bindings b, or
-    _coerce(q0) from a parameter q0.  write(lines, values, ends) gives the
+    _coerce(q0) from a parameter q0.  write(lines, values, end) gives the
     source that defines the functions: lines compute every root, the first of
     them reading each variable once (one line per call of read), values holds
-    one expression per root, and values[j] is complete after the first
-    ends[j] lines (all reads, then the statements of roots 0..j, in root
-    order).  Each distinct node (keyed by identity, never by value:
-    Const(1.0) == Const(1+0j)) is computed once, a node inlined or
-    made a statement as the module docstring's evaluation model says.
+    one expression per root, in root order, and values[0] is complete after
+    the first `end` lines (all reads, then the statements of root 0).  Each
+    distinct node (keyed by identity, never by value: Const(1.0) ==
+    Const(1+0j)) is computed once, a node inlined or made a statement as
+    the module docstring's evaluation model says.
     Constants and callables reach the lines only as names of globals,
     _coerce among them; every name in the lines begins with an underscore,
     so a caller's names that do not cannot collide with them.  Code objects
@@ -607,8 +607,7 @@ def generate(roots, read, write) -> dict:
             return source, nesting
         return assign(source)
 
-    ends = []
-    for root in roots:
+    for k, root in enumerate(roots):
         stack = [(root, False)]
         while stack:
             node, ready = stack.pop()
@@ -619,9 +618,10 @@ def generate(roots, read, write) -> dict:
             else:
                 stack.append((node, True))
                 stack += ((x, False) for x in reversed(_operands(node)))
-        ends.append(len(lines))  # the reads, which all come first, are added below
+        if k == 0:  # the reads, which all come first, are counted below
+            end = len(lines)
     values = [done[id(r)][0] for r in roots]
-    exec(_code(write(reads + lines, values, [len(reads) + end for end in ends])), env)
+    exec(_code(write(reads + lines, values, len(reads) + end)), env)
     return env
 
 
@@ -638,7 +638,7 @@ def _program(roots, joint: bool):
         source = {"t": "b.t", "param": f"b.params[{v.name!r}]"}.get(v.kind)
         return f"_coerce({source or f'b.{v.kind}[{v.index - 1!r}]'})"
 
-    def write(lines, values, _ends) -> str:
+    def write(lines, values, _end) -> str:
         if variables:  # a failed read raises for the first variable b does not supply
             reads, lines = lines[: len(variables)], lines[len(variables) :]
             handler = ["except Exception:", "    _unbound(b, _variables)", "    raise"]
@@ -688,7 +688,7 @@ def _parse_var(var: str):
     m = _VAR_RE.match(var)
     if m:
         return m.group(1), int(m.group(2))
-    raise ValidationError(f"cannot differentiate with respect to {var!r}")
+    raise ValidationError(f"cannot differentiate with respect to {shown(var)}")
 
 
 def diff(e: Expr, var: str) -> Expr:

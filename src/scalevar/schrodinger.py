@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, shown
 from .funcspace import Path, TimeGrid
 from .lagdsl import diff, free_variables, generate, parse, references_velocity
 from .scaleops import ScaleParams, scale_derivative_path
@@ -123,7 +123,7 @@ def _generate(prob: SchrodingerProblem, roots, step=False) -> tuple:
         if v.kind != "param":
             return "_coerce(t)" if v.kind == "t" else f"_coerce(q{v.index - 1})"
         if v.name not in prob.params:
-            raise ValidationError(f"unbound parameter {v.name!r}")
+            raise ValidationError(f"unbound parameter {shown(v.name)}")
         params[f"param_{v.name}"] = complex(prob.params[v.name])
         return f"param_{v.name}"
 
@@ -133,8 +133,8 @@ def _generate(prob: SchrodingerProblem, roots, step=False) -> tuple:
     def function(head: str, body) -> str:
         return f"def {head}:" + "".join(f"\n    {line}" for line in body) + "\n"
 
-    def write(lines, values, ends) -> str:
-        head, rest = lines[: ends[0]], lines[ends[0] :]  # head ends where the first root is complete
+    def write(lines, values, end) -> str:
+        head, rest = lines[:end], lines[end:]  # head ends where the first root is complete
         first = f"above_floor({values[0]})" if checked else values[0]
         others = "".join(v + ", " for v in values[1:])
         program = [*head, f"first = {first}", *rest, f"return (first, {others})"]

@@ -6,8 +6,7 @@ benchmark operations produce, held in a committed manifest.
     python tests/output_corpus.py --write-manifest  # rewrite tests/output_manifest.json
 
 The outputs are:
-- the bundled configs at their own grid.n, at 10x grid.n and at 3x grid.pad
-  (padding beyond a report's reach is never read, so the last equals the first);
+- the bundled configs at their own grid.n and at 10x grid.n;
 - the 2-D `schrodinger` run (two components and a parameter) at 1x and 10x grid.n;
 - every trajectory, batch_csv and roughness operation of bench seeds 1-3;
 - the library result digest of the same seeds.
@@ -69,10 +68,9 @@ def _output_digest(rc: int, prefix: str) -> str:
 def bundled_runs():
     """(name, config path, overrides) of every bundled-config run."""
     for config in sorted((ROOT / "configs").glob("*.json")):
-        grid = json.loads(config.read_text(encoding="utf-8"))["grid"]
+        n = json.loads(config.read_text(encoding="utf-8"))["grid"]["n"]
         yield config.stem, config, ()
-        yield f"{config.stem}.10x", config, (f"grid.n={10 * grid['n']}",)
-        yield f"{config.stem}.3pad", config, (f"grid.pad={3 * grid['pad']!r}",)
+        yield f"{config.stem}.10x", config, (f"grid.n={10 * n}",)
     gaussian = ROOT / "configs" / "schrodinger_gaussian.json"
     yield "schrodinger_gaussian.2d", gaussian, TWO_D
     yield "schrodinger_gaussian.2d.10x", gaussian, (*TWO_D, "grid.n=10000")

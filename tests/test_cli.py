@@ -48,7 +48,7 @@ def test_bundled_configs_exist():
 @pytest.mark.parametrize(
     "config, overrides",
     # each bundled config and the 2-D schrodinger run, at their own grid.n and at 10x
-    [pytest.param(c, o, id=name) for name, c, o in bundled_runs() if not name.endswith(".3pad")],
+    [pytest.param(c, o, id=name) for name, c, o in bundled_runs()],
 )
 def test_bundled_configs_run_deterministically(tmp_path, capsys, config, overrides):
     with warnings.catch_warnings(record=True) as caught:
@@ -185,21 +185,29 @@ def test_malformed_json(tmp_path, capsys):
 _NOETHER_TEXT = (CONFIG_DIR / "noether_free_particle.json").read_bytes()
 
 
+_NOT_JSON = "scalevar: config is not valid JSON: "
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, overrides, start",
     [
-        b"\xff\xfe" + _NOETHER_TEXT,  # not UTF-8
-        b"[" * 200_000,  # json.dumps cannot write this deep
-        _NOETHER_TEXT.replace(b'"n": 1000', b'"n": 1' + b"0" * 5000),  # int beyond 4300 digits
+        (b"\xff\xfe" + _NOETHER_TEXT, (), _NOT_JSON),  # not UTF-8
+        (b"[" * 200_000, (), _NOT_JSON),  # json.dumps cannot write this deep
+        # int beyond 4300 digits
+        (_NOETHER_TEXT.replace(b'"n": 1000', b'"n": 1' + b"0" * 5000), (), _NOT_JSON),
+        (b"[1, 2]", (), "scalevar: config must be a JSON object\n"),
+        # --set items that cannot apply to the config's text name the item, not a field
+        (_NOETHER_TEXT, ("novalue",), "scalevar: --set needs KEY=VALUE, got 'novalue'\n"),
+        (_NOETHER_TEXT, ("grid.n.x=3",), "scalevar: --set cannot descend into non-object field 'grid.n.x'\n"),
     ],
-    ids=["not-utf8", "deep", "long-int"],
+    ids=["not-utf8", "deep", "long-int", "array", "set-without-value", "set-into-a-number"],
 )
-def test_config_text_json_cannot_take_exits_two(tmp_path, capsys, text):
+def test_config_text_json_cannot_take_exits_two(tmp_path, capsys, text, overrides, start):
     config = tmp_path / "config.json"
     config.write_bytes(text)
-    assert run(str(config), []) == 2
+    assert run(str(config), [f"output={tmp_path / 'out'}", *overrides]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("scalevar: config is not valid JSON: ") and err.count("\n") == 1
+    assert err.startswith(start) and err.count("\n") == 1
     # no advice on interpreter settings that a config's author cannot change
     assert len(err) <= 200 and "set_int_max_str_digits" not in err
 
@@ -289,10 +297,9 @@ def test_oversize_weierstrass_series_exits_two_before_allocating(tmp_path, capsy
         ("noether_free_particle", "problem.params.w=[0,1e400]", "problem.params.w"),
         ("deriv_parabola", "grid.n=true", "grid.n"),
         ("deriv_parabola", "grid.n=1000000000000", "grid.n"),
-        # grids that pad past the node limit: rejected before anything is allocated
-        ("deriv_parabola", "grid.pad=1e300", "grid"),
+        # eps is 2e300 steps of this grid, so padding by its reach passes the node limit:
+        # rejected before anything is allocated
         ("check_el_oscillator", "grid.b=1e-300", "grid"),
-        ("check_el_oscillator", "grid.pad=1000000000000", "grid"),
         # constants the library classes also check, read where the cli reads them
         ("schrodinger_gaussian", "problem.hbar=-1", "problem.hbar"),
         ("schrodinger_gaussian", "problem.m=0", "problem.m"),
@@ -306,6 +313,15 @@ def test_oversize_weierstrass_series_exits_two_before_allocating(tmp_path, capsy
         ("noether_free_particle", 'problem.params={"t": 1}', "problem.params.t"),
         ("schrodinger_gaussian", 'problem.params={"q1": 1}', "problem.params.q1"),
         ("holder_weierstrass", 'problem.params={"sin": 1}', "problem.params.sin"),
+        # expressions the tokenizer and the parser stop at
+        ("noether_free_particle", "problem.L=q1 $ 2", "problem.L"),
+        ("noether_free_particle", "problem.L=1 2", "problem.L"),
+        # an echoed identifier or parameter name is cut to 80 characters
+        pytest.param("noether_free_particle", "problem.L=" + "x" * 3000, "problem.L", id="long-identifier"),
+        pytest.param(
+            "noether_free_particle", f'problem.params={{"{"x" * 3000}": 1e999}}',
+            "problem.params." + "x" * 62 + "...", id="long-parameter-name",
+        ),
     ]
     # every config: a node count past the limit, and a grid its floats do not resolve
     + [
@@ -323,8 +339,8 @@ def test_config_value_errors_name_their_field(tmp_path, capsys, config, override
     code, csv_path, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", *overrides)
     assert code == 2
     err = capsys.readouterr().err
-    assert f'invalid field "{field}": ' in err
-    assert "Traceback" not in err
+    assert err.startswith("scalevar: ") and f'invalid field "{field}": ' in err
+    assert err.count("\n") == 1 and len(err) < 200 and "Traceback" not in err
     assert not csv_path.exists()
 
 
@@ -677,14 +693,20 @@ _TARGETS = [
 ]
 
 
+_DELETED = object()  # a value that takes its field out of the config
+
+
 def _run_hostile(workdir, config, path, value):
-    """Run config with value at path; the exit code must be 0, 2 or 3, an exit 2
-    must name a config field, and no RuntimeWarning may be emitted."""
+    """Run config with value at path, into workdir/out; the exit code must be 0, 2 or 3,
+    an exit 2 must name a config field, and no RuntimeWarning may be emitted."""
     cfg = _with_params(config)
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is _DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     cfg["output"] = str(workdir / "out")
     config_path = workdir / "config.json"
     config_path.write_text(json.dumps(cfg))
@@ -706,18 +728,13 @@ def test_hostile_field_values_exit_0_2_or_3(tmp_path_factory, target, value):
     _run_hostile(tmp_path_factory.mktemp("hostile"), config, path, value)
 
 
-# inputs whose grid geometry only a report or the holder series finds: they
+# inputs whose grid geometry only the reach or the holder series finds: they
 # once exited 2 naming no field, or warned and exited 3
 _GRID_FOUND_LATE = [
-    (config, path, value)
+    (config, ("scale", "epsilon"), value)
     for config in BUNDLED
     if config.stem != "holder_weierstrass"
-    for path, value in [
-        (("grid", "pad"), 0),
-        (("grid", "pad"), 1e-300),
-        (("scale", "epsilon"), 1e300),
-        (("scale", "epsilon"), 10**12),
-    ]
+    for value in (1e300, 10**12)
 ] + [
     (CONFIG_DIR / "holder_weierstrass.json", ("grid", "b"), 1e300),
     (CONFIG_DIR / "holder_weierstrass.json", ("grid", "a"), -1e300),
@@ -733,12 +750,39 @@ def test_grid_geometry_found_late_names_the_grid(tmp_path, config, path, value):
     code, err = _run_hostile(tmp_path, config, path, value)
     assert code == 2
     assert err.startswith('scalevar: invalid field "grid": ') and err.count("\n") == 1
+    assert len(err) < 200
+
+
+# config fields no command reads: grid.pad (each command pads by its own reach) and
+# holder's scale (the estimator is scale-free); any value, or none, gives the bundled bytes
+_UNREAD = [
+    (config, ("grid", "pad"), value)
+    for config in BUNDLED
+    for value in (0, 1e-300, 1e300, 10**12, "x", None)
+] + [
+    (CONFIG_DIR / "holder_weierstrass.json", ("scale",), value)
+    for value in (_DELETED, {"epsilon": "x"})
+]
+
+
+@pytest.mark.parametrize(
+    "config, path, value",
+    _UNREAD,
+    ids=[f"{c.stem}-{'.'.join(p)}={'deleted' if v is _DELETED else repr(v)}" for c, p, v in _UNREAD],
+)
+def test_unread_config_fields_change_no_byte(tmp_path, capsys, config, path, value):
+    assert _run_hostile(tmp_path, config, path, value) == (0, "")
+    code, csv_path, summary_path = _run(tmp_path / "bundled", config)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert ((tmp_path / "out.csv").read_bytes(), (tmp_path / "out.summary.json").read_bytes()) == (
+        csv_path.read_bytes(), summary_path.read_bytes()
+    )
 
 
 @pytest.mark.parametrize("config", ["check_el_oscillator", "check_dbr_oscillator"])
 def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
     # 2*eps covers the 4-step grid, so [a+eps, b-eps] holds no node
-    overrides = ("grid.n=4", "scale.epsilon=0.5", "grid.pad=1.0")
+    overrides = ("grid.n=4", "scale.epsilon=0.5")
     code, _, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", *overrides)
     assert code == 2
     assert capsys.readouterr().err == (
@@ -750,48 +794,37 @@ def test_an_empty_residual_window_names_the_grid(tmp_path, capsys, config):
     "config, overrides, reach",
     [
         ("noether_free_particle", ("problem.tau=1/(t+0.005)",), 0.001),
-        ("check_el_oscillator", ("grid.pad=0.01", "problem.L=0.5*v1^2-q1/(t+0.008)"), 0.002),
-        (
-            "check_dbr_oscillator",
-            ("grid.pad=0.01", "problem.L=0.5*v1^2-0.5*q1^2+ln(t+0.008)"),
-            0.002,
-        ),
-        ("invariance_time_translation", ("grid.pad=0.01", "problem.xi=1/(t+0.008)"), 0.001),
+        ("check_el_oscillator", ("problem.L=0.5*v1^2-q1/(t+0.008)",), 0.002),
+        ("check_dbr_oscillator", ("problem.L=0.5*v1^2-0.5*q1^2+ln(t+0.008)",), 0.002),
+        ("invariance_time_translation", ("problem.xi=1/(t+0.008)",), 0.001),
         # the configured path itself is sampled only up to the reach
         ("noether_free_particle", ("problem.path=1/(t+0.008)",), 0.001),
-        ("check_el_oscillator", ("grid.pad=0.01", "problem.path=cos(t)+0.001/(t+0.008)"), 0.002),
-        ("deriv_parabola", ("grid.pad=0.05", "problem.path=t^2+0.001/(t+0.02)"), 0.01),
+        ("check_el_oscillator", ("problem.path=cos(t)+0.001/(t+0.008)",), 0.002),
+        ("deriv_parabola", ("problem.path=t^2+0.001/(t+0.02)",), 0.01),
         # the trajectory is integrated only to eps beyond [a, b]; psi collapses right, then left
-        ("schrodinger_gaussian", ("grid.pad=0.1", "problem.psi=(t-1.05)*exp(-q1^2/2)"), 0.001),
-        ("schrodinger_gaussian", ("grid.pad=0.1", "problem.psi=(t+0.05)*exp(-q1^2/2)"), 0.001),
+        ("schrodinger_gaussian", ("problem.psi=(t-1.05)*exp(-q1^2/2)",), 0.001),
+        ("schrodinger_gaussian", ("problem.psi=(t+0.05)*exp(-q1^2/2)",), 0.001),
         # the holder probes read only [a, b]
         (
             "holder_weierstrass",
-            ("grid.n=1024", "grid.pad=0.01", "problem.weierstrass=null", "problem.path=1/(t+0.001953125)"),
+            ("grid.n=1024", "problem.weierstrass=null", "problem.path=1/(t+0.001953125)"),
             0,
         ),
-        # nor does the Weierstrass series
-        pytest.param("holder_weierstrass", ("grid.pad=0.01",), 0, id="holder_weierstrass-series-0"),
-    ]
-    # each bundled config at 3x its grid.pad, whose own pad covers the reach
-    + [
-        pytest.param(c.stem, o, json.loads(c.read_text())["grid"]["pad"], id=name)
-        for name, c, o in bundled_runs() if name.endswith(".3pad")
+        # and the Weierstrass series reads no grid node
+        pytest.param("holder_weierstrass", (), 0, id="holder_weierstrass-series-0"),
     ],
 )
-def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, config, overrides, reach):
-    # each expression is singular on a padding node beyond eps (2*eps for the
-    # residuals, none for holder) outside [a, b]; no output reads that node, so
-    # the run is the one on a grid padded to the reach
-    path = CONFIG_DIR / f"{config}.json"
-    code, csv_path, summary_path = _run(tmp_path / "wide", path, *overrides)
+def test_padding_beyond_the_reach_is_never_evaluated(tmp_path, capsys, monkeypatch, config, overrides, reach):
+    # each expression is singular on a node beyond eps (2*eps for the residuals,
+    # none for holder) outside [a, b]; the run pads its grid by exactly that
+    # reach, so it never evaluates the node
+    grids = []
+    padded = cli._padded
+    monkeypatch.setattr(cli, "_padded", lambda grid, steps: grids.append(padded(grid, steps)) or grids[-1])
+    code, _, _ = _run(tmp_path, CONFIG_DIR / f"{config}.json", *overrides)
     assert code == 0
     assert capsys.readouterr().err == ""
-    code, csv_reach, summary_reach = _run(tmp_path / "reach", path, *overrides, f"grid.pad={reach}")
-    assert code == 0
-    assert capsys.readouterr().err == ""
-    assert csv_path.read_bytes() == csv_reach.read_bytes()
-    assert summary_path.read_bytes() == summary_reach.read_bytes()
+    assert [grid.pad for grid in grids] == ([] if overrides == () else [reach])
 
 
 # ---------------------------------------------------------------------------

@@ -275,11 +275,20 @@ def test_diff_abs2_along_time():
             assert abs(evaluate(d, Bindings(t=t)) - fd) < 1e-6, (text, order, t)
 
 
-@pytest.mark.parametrize("var", ["t", "q1"])
-def test_diff_of_an_unknown_function_raises(var):
+@pytest.mark.parametrize(
+    "var, message",
+    [
+        ("t", "unknown function 'foo'"),
+        ("q1", "unknown function 'foo'"),
+        # a variable diff does not know is named before the function
+        ("x", "cannot differentiate with respect to 'x'"),
+    ],
+    ids=["t", "q1", "x"],
+)
+def test_diff_of_an_unknown_function_raises(var, message):
     # a Call built by hand bypasses func's check; diff must not apply another rule to it
     e = Call("foo", Var("t", 0, "t") if var == "t" else Var("q", 1, "q1"))
-    with pytest.raises(ValidationError, match="unknown function 'foo'"):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         diff(e, var)
 
 

@@ -448,6 +448,9 @@ def test_problem_validation():
         SchrodingerProblem("exp(q1)", "t*q1", 1.0, 1.0)  # potential must be spatial
     with pytest.raises(ValidationError, match="^psi may not reference velocity variables$"):
         SchrodingerProblem("v1*q1", "q1", 1.0, 1.0)
+    # a parsed psi may name a parameter the problem does not bind
+    with pytest.raises(ValidationError, match="^unbound parameter 'k'$"):
+        SchrodingerProblem(lagdsl.parse("k*q1", 1, ("k",)), "0", 1.0, 1.0, params={})
     prob = SchrodingerProblem("exp(q1)", "q1", 2.0, 4.0)
     assert prob.gamma == 0.25
 
